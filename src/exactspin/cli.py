@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import tempfile
@@ -20,11 +21,11 @@ import tempfile
 import numpy as np
 
 from .dynamics import EigenbasisState, evolve_observable, paper_jz_series, to_eigenbasis
-from .model import FOCK_CONVENTIONS, ModelParams
+from .model import ModelParams
 from .observables import dicke_distribution
 from .rotation import RotationAngles, rotated_basis_state
 from .spectrum import exact_spectrum, ground_state, residual_norm
-from .su2 import HalfInt, m_floats
+from .su2 import HalfInt, dicke_index, m_floats
 from .verify import build_report
 
 __all__ = ["main", "ConfigError"]
@@ -37,10 +38,8 @@ EXIT_IO = 4
 ALLOWED_KEYS = {
     "model": {"twice_j", "coeffs", "theta", "phi"},
     "output": {"path", "format"},
-    "evolve": {"t_min", "t_max", "num_points", "initial", "observables",
-               "include_printed_formula"},
-    "ground": {"floor"},
-    "verify": {"max_twice_j", "draws", "seed", "sweep_points"},
+    "evolve": {"t_min", "t_max", "num_points", "initial", "include_printed_formula"},
+    "verify": {"max_twice_j", "draws", "seed"},
 }
 
 
@@ -151,18 +150,17 @@ def _output_target(config: dict, args, default_name: str) -> tuple[str, str]:
 def _parse_initial(spec: str, params: ModelParams, j: HalfInt) -> EigenbasisState:
     kind, _, rest = spec.partition(":")
     dim = j.twice + 1
-    if kind == "dicke":
-        twice_m = int(rest)
-        if (twice_m - j.twice) % 2 != 0 or abs(twice_m) > j.twice:
-            raise ConfigError(f"dicke m (twice={twice_m}) invalid for twice_j={j.twice}")
+    if kind in ("dicke", "rotated"):
+        try:
+            m = HalfInt(int(rest))
+            k = dicke_index(j, m)
+        except ValueError as exc:
+            raise ConfigError(f"initial {spec!r} invalid for twice_j={j.twice}: {exc}") from exc
+        if kind == "rotated":
+            return to_eigenbasis(params, j, rotated_basis_state(j, params.angles, m))
         psi = np.zeros(dim, dtype=complex)
-        psi[(twice_m + j.twice) // 2] = 1.0
+        psi[k] = 1.0
         return to_eigenbasis(params, j, psi)
-    if kind == "rotated":
-        twice_m = int(rest)
-        if (twice_m - j.twice) % 2 != 0 or abs(twice_m) > j.twice:
-            raise ConfigError(f"rotated m (twice={twice_m}) invalid for twice_j={j.twice}")
-        return to_eigenbasis(params, j, rotated_basis_state(j, params.angles, HalfInt(twice_m)))
     if kind == "amplitudes":
         try:
             amps = np.array([complex(tok) for tok in rest.split(",")])
@@ -236,6 +234,8 @@ def cmd_evolve(config: dict, args) -> int:
     t_min = _get(section, "t_min", float, default=0.0)
     t_max = _get(section, "t_max", float)
     num_points = _get(section, "num_points", int)
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise ConfigError(f"t_min and t_max must be finite, got {t_min!r} and {t_max!r}")
     if num_points < 2 or not t_max > t_min:
         raise ConfigError("need num_points >= 2 and t_max > t_min")
     include_printed = _get(section, "include_printed_formula",
@@ -314,8 +314,6 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--phi", type=float, help="rotation angle phi (radians)")
         p.add_argument("--A", dest="coeffs", metavar="a0,a1,...",
                        help="comma-separated polynomial coefficients")
-        p.add_argument("--convention", choices=FOCK_CONVENTIONS, default="standard",
-                       help="two-mode population-difference normalization")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; computation is "
                             "deterministic and single-process")

@@ -1,9 +1,9 @@
 """Exact time evolution of observables under the rotated models.
 
 Evolution is spectral: a state expressed in the closed-form eigenbasis
-only rotates coefficient phases, so any expectation value at any time is
-an O(dim^2) bilinear form with the rotated observable matrix U O U†.
-That matrix is computed once per (j, angles, observable) and cached.
+only rotates coefficient phases.  U O U† is tridiagonal for O = Jz, Jx,
+Jy, so an expectation value is a static part plus one beat per pair of
+adjacent levels, O(dim) per time point.
 
 The printed population-evolution formula for the quadratic model is also
 evaluated verbatim (no conjugates, squared ladder factor, as printed) as
@@ -13,14 +13,13 @@ a diagnostic series for comparison against the exact evolution.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams, energy_values
-from .rotation import RotationAngles, apply_rotation, rotation_matrix
-from .su2 import _check_j, m_floats, operator_matrix
+from .rotation import RotationAngles, apply_rotation
+from .su2 import _check_j, _ladder_coeffs_ascending, m_floats
 
 __all__ = [
     "EigenbasisState",
@@ -35,10 +34,6 @@ __all__ = [
 ]
 
 EVOLVE_OBSERVABLES = ("Jz", "Jy", "Jx")
-
-_obs_cache: dict[tuple, np.ndarray] = {}
-_obs_cache_lock = threading.Lock()
-_OBS_CACHE_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -95,42 +90,43 @@ def state_at(params: ModelParams, j, state: EigenbasisState, t: float) -> np.nda
     return apply_rotation(j, params.angles, state.coeffs * phases, dagger=True)
 
 
-def rotated_observable(params: ModelParams, j, obs: str) -> np.ndarray:
-    """U O U† in the eigen-label basis, cached per (j, angles, obs)."""
-    j = _check_j(j)
+def _rotated_bands(j, angles: RotationAngles, obs: str) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and superdiagonal of the tridiagonal U O U† (real diagonal)."""
     if obs not in EVOLVE_OBSERVABLES:
         raise ValueError(f"obs must be one of {EVOLVE_OBSERVABLES}, got {obs!r}")
-    key = (j.twice, params.angles.theta, params.angles.phi, obs)
-    with _obs_cache_lock:
-        cached = _obs_cache.get(key)
-    if cached is not None:
-        return cached
-    u = rotation_matrix(j, params.angles)
-    mat = u @ operator_matrix(j, obs) @ u.conj().T
-    with _obs_cache_lock:
-        if key not in _obs_cache:
-            if len(_obs_cache) >= _OBS_CACHE_MAX:
-                _obs_cache.pop(next(iter(_obs_cache)))
-            _obs_cache[key] = mat
-        mat = _obs_cache[key]
-    return mat
+    m = m_floats(j)
+    ell = _ladder_coeffs_ascending(j) * (np.exp(-1j * angles.phi) / 2.0)
+    ct, st = math.cos(angles.theta), math.sin(angles.theta)
+    if obs == "Jz":
+        return ct * m, -st * ell
+    if obs == "Jx":
+        return st * m, ct * ell
+    return np.zeros_like(m), 1j * ell
+
+
+def rotated_observable(params: ModelParams, j, obs: str) -> np.ndarray:
+    """U O U† in the eigen-label basis, as a dense matrix built from its bands."""
+    j = _check_j(j)
+    diag, sup = _rotated_bands(j, params.angles, obs)
+    return np.diag(diag.astype(complex)) + np.diag(sup, 1) + np.diag(sup.conj(), -1)
 
 
 def evolve_observable(params: ModelParams, j, state: EigenbasisState, obs: str,
                       times) -> TimeSeries:
-    """Exact expectation series <O>(t) = c(t)† (U O U†) c(t), c(t) = C e^{-iEt}."""
+    """Exact series <O>(t) = c(t)† (U O U†) c(t), c(t) = C e^{-iEt}, summed over the bands as
+    sum_k O_kk |C_k|^2 + 2 Re sum_k conj(C_k) O_{k,k+1} C_{k+1} e^{-i(E_{k+1} - E_k) t}."""
     j = _check_j(j)
     times = np.asarray(times, dtype=float)
     if state.dim != j.twice + 1:
         raise ValueError(f"state dim {state.dim} does not match 2j+1 = {j.twice + 1}")
-    mat = rotated_observable(params, j, obs)
-    energies = energy_values(params, j)
-    ct = state.coeffs[None, :] * np.exp(-1j * np.outer(times, energies))
-    raw = np.sum(ct.conj() * (ct @ mat.T), axis=1)
-    worst_imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if worst_imag > 1e-9:
-        raise ArithmeticError(f"expectation value has imaginary part {worst_imag:.3e}")
-    return TimeSeries(times=times, values=raw.real, label=f"<{obs}>")
+    diag, sup = _rotated_bands(j, params.angles, obs)
+    c = state.coeffs
+    static = float(np.sum(diag * np.abs(c) ** 2))
+    beats = c[:-1].conj() * sup * c[1:]
+    # Re(b e^{-i w t}) = Re(b) cos(w t) + Im(b) sin(w t)
+    phase = np.outer(times, np.diff(energy_values(params, j)))
+    values = static + 2.0 * (np.cos(phase) @ beats.real + np.sin(phase) @ beats.imag)
+    return TimeSeries(times=times, values=values, label=f"<{obs}>")
 
 
 def paper_jz_series(params: ModelParams, j, state: EigenbasisState, times) -> TimeSeries:
@@ -147,17 +143,14 @@ def paper_jz_series(params: ModelParams, j, state: EigenbasisState, times) -> Ti
     times = np.asarray(times, dtype=float)
     if state.dim != j.twice + 1:
         raise ValueError(f"state dim {state.dim} does not match 2j+1 = {j.twice + 1}")
-    m = m_floats(j)
+    m = m_floats(j)[1:]
     jval = j.twice / 2.0
-    energies = energy_values(params, j)
-    phi = params.angles.phi
-    total = np.zeros(times.shape, dtype=complex)
     c = state.coeffs
-    for k in range(1, j.twice + 1):
-        weight = c[k] * c[k - 1] * (jval * (jval + 1.0) - m[k] * (m[k] - 1.0))
-        total += weight * np.cos(phi + (energies[k - 1] - energies[k]) * times)
-    values = -math.sin(params.angles.theta) * total
-    return TimeSeries(times=times, values=values.real, label="<Jz> printed formula")
+    # term k >= 1 pairs C_k C_{k-1} with frequency E_{k-1} - E_k
+    weights = c[1:] * c[:-1] * (jval * (jval + 1.0) - m * (m - 1.0))
+    phase = params.angles.phi - np.outer(times, np.diff(energy_values(params, j)))
+    values = -math.sin(params.angles.theta) * (np.cos(phase) @ weights.real)
+    return TimeSeries(times=times, values=values, label="<Jz> printed formula")
 
 
 def revival_time(params: ModelParams) -> float | None:

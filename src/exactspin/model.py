@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rotation import RotationAngles, apply_rotation, rotate_operator, rotation_matrix
-from .su2 import HalfInt, _check_j, as_halfint, m_floats, operator_matrix
+from .rotation import RotationAngles, rotate_operator, rotation_matrix
+from .su2 import HalfInt, _check_j, _ladder_coeffs_ascending, m_floats, operator_matrix
 
 __all__ = [
     "ModelParams",
@@ -90,14 +90,22 @@ def model_hamiltonian(params: ModelParams, j) -> np.ndarray:
 
 
 def apply_hamiltonian(params: ModelParams, j, vec: np.ndarray) -> np.ndarray:
-    """Matrix-free H @ vec: apply U, scale by E_m, apply U†.  O(dim^2)."""
+    """Matrix-free H @ vec by Horner's rule in T = U† Jz U = cos(theta) Jz + sin(theta) Jx.
+
+    T is real symmetric tridiagonal and independent of phi, so this is O(order * dim)."""
     j = _check_j(j)
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (j.twice + 1,):
         raise ValueError(f"state has shape {vec.shape}, expected ({j.twice + 1},)")
-    w = apply_rotation(j, params.angles, vec)
-    w = energy_values(params, j) * w
-    return apply_rotation(j, params.angles, w, dagger=True)
+    diag = math.cos(params.angles.theta) * m_floats(j)
+    off = math.sin(params.angles.theta) * _ladder_coeffs_ascending(j) / 2.0
+    w = params.coeffs[-1] * vec
+    for a in reversed(params.coeffs[:-1]):
+        tw = diag * w
+        tw[:-1] += off * w[1:]
+        tw[1:] += off * w[:-1]
+        w = tw + a * vec
+    return w
 
 
 @dataclass(frozen=True)
@@ -300,11 +308,10 @@ def rate_relation(params: ModelParams) -> tuple[float, float]:
         raise ZeroDivisionError(
             "elastic coefficient vanishes (A2 = 0 or cos^2 theta = 1/3); lhs undefined"
         )
+    # a1^2 - 3*detuning^2 = a1^2 * trig, and trig is nonzero past the guard above
     denom = a1**2 - 3.0 * c.detuning**2
-    if a1 == 0.0 or abs(trig) <= 1e-12:
-        raise ZeroDivisionError(
-            "A1^2 - 3*detuning^2 vanishes (A1 = 0 or cos^2 theta = 1/3); rhs undefined"
-        )
+    if a1 == 0.0:
+        raise ZeroDivisionError("A1^2 - 3*detuning^2 vanishes (A1 = 0); rhs undefined")
     lhs = (c.inelastic_single + c.inelastic_pair) / c.elastic
     rhs = (c.josephson / 2.0) * (c.josephson + 2.0 * c.detuning) / denom
     return lhs, rhs

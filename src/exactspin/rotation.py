@@ -59,12 +59,11 @@ class RotationAngles:
 @lru_cache(maxsize=6)
 def _jy_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthogonal eigenvectors of the real tridiagonal T ~ Jy."""
-    j = HalfInt(twice_j)
-    dim = twice_j + 1
-    if dim == 1:
-        return np.zeros(1), np.ones((1, 1))
-    off = _ladder_coeffs_ascending(j) / 2.0
-    lam, q = eigh_tridiagonal(np.zeros(dim), off)
+    off = _ladder_coeffs_ascending(HalfInt(twice_j)) / 2.0
+    lam, q = eigh_tridiagonal(np.zeros(twice_j + 1), off)
+    # shared by every caller through the cache, so never handed out writable
+    lam.setflags(write=False)
+    q.setflags(write=False)
     return lam, q
 
 

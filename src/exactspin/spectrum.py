@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .model import ModelParams, apply_hamiltonian, energy_values
-from .rotation import rotated_basis_state
-from .su2 import HalfInt, _check_j, as_halfint, is_hermitian
+from .rotation import little_d, rotated_basis_state
+from .su2 import HalfInt, _check_j, is_hermitian, m_floats
 
 __all__ = [
     "EigenPair",
@@ -49,12 +49,12 @@ def exact_spectrum(params: ModelParams, j) -> list[EigenPair]:
     """All 2j+1 closed-form eigenpairs, ascending m.  No diagonalization."""
     j = _check_j(j)
     energies = energy_values(params, j)
-    pairs = []
-    for k, twice_m in enumerate(range(-j.twice, j.twice + 1, 2)):
-        m = HalfInt(twice_m)
-        vec = rotated_basis_state(j, params.angles, m)
-        pairs.append(EigenPair(m=m, energy=float(energies[k]), vector=vec))
-    return pairs
+    # row k of little_d times e^{-i phi m_k} is U†|j,m_k>, as in rotated_basis_state
+    phases = np.exp(-1j * params.angles.phi * m_floats(j))
+    vecs = little_d(j, params.angles.theta) * phases[:, None]
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return [EigenPair(m=HalfInt(twice_m), energy=float(e), vector=v)
+            for twice_m, e, v in zip(range(-j.twice, j.twice + 1, 2), energies, vecs)]
 
 
 def _exact_energy(params: ModelParams, twice_m: int) -> Fraction:

@@ -185,3 +185,42 @@ def test_verify_report_and_exit_codes(tmp_path, monkeypatch):
     code = main(["verify", "--max-j", "10", "--draws", "4", "--seed", "0",
                  "--out", str(tmp_path / "broken.json")])
     assert code == EXIT_CHECK
+
+
+@pytest.mark.parametrize("command,section", [
+    ("ground", "[ground]\nfloor = 0.1\n"),
+    ("evolve", "[evolve]\nt_max = 10.0\nnum_points = 5\ninitial = dicke:4\nobservables = Jz\n"),
+    ("verify", "[verify]\nsweep_points = 5\n"),
+], ids=["ground-floor", "evolve-observables", "verify-sweep_points"])
+def test_removed_config_keys_rejected(tmp_path, command, section):
+    cfg = write_config(tmp_path, "dead.ini",
+                       "[model]\ntwice_j = 4\ncoeffs = 0,1,0.05\ntheta = 1.1\n" + section)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("initial", ["dicke:x", "rotated:x", "dicke:", "rotated:3", "dicke:6"])
+def test_bad_initial_state_is_config_error(tmp_path, initial):
+    cfg = write_config(
+        tmp_path, "init.ini",
+        "[model]\ntwice_j = 4\ncoeffs = 0,1,0.05\ntheta = 1.1\n"
+        f"[evolve]\nt_max = 10.0\nnum_points = 5\ninitial = {initial}\n",
+    )
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("times", ["t_max = inf", "t_max = nan", "t_min = -inf\nt_max = 1.0"],
+                         ids=["t_max-inf", "t_max-nan", "t_min-minus-inf"])
+def test_non_finite_evolve_times_are_config_errors(tmp_path, times):
+    cfg = write_config(
+        tmp_path, "times.ini",
+        "[model]\ntwice_j = 4\ncoeffs = 0,1,0.05\ntheta = 1.1\n"
+        f"[evolve]\n{times}\nnum_points = 5\ninitial = dicke:4\n",
+    )
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+
+
+def test_convention_flag_removed(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--j", "2", "--A", "0,1", "--theta", "0.5",
+              "--out", str(tmp_path / "s.csv"), "--convention", "standard"])
+    assert exc.value.code == EXIT_CONFIG
