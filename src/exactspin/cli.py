@@ -35,6 +35,10 @@ EXIT_CONFIG = 2
 EXIT_CHECK = 3
 EXIT_IO = 4
 
+# evolve holds num_points x (dim - 1) float64 arrays per observable series,
+# plus num_points-long columns; num_points x dim x 8 bytes bounds both
+EVOLVE_MAX_BYTES = 1 << 30
+
 ALLOWED_KEYS = {
     "model": {"twice_j", "coeffs", "theta", "phi"},
     "output": {"path", "format"},
@@ -234,6 +238,11 @@ def cmd_evolve(config: dict, args) -> int:
     t_min = _get(section, "t_min", float, default=0.0)
     t_max = _get(section, "t_max", float)
     num_points = _get(section, "num_points", int)
+    series_bytes = num_points * (j.twice + 1) * 8
+    if series_bytes > EVOLVE_MAX_BYTES:
+        raise ConfigError(f"num_points={num_points} at twice_j={j.twice} needs "
+                          f"{series_bytes} bytes per series array, over the "
+                          f"{EVOLVE_MAX_BYTES}-byte budget")
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise ConfigError(f"t_min and t_max must be finite, got {t_min!r} and {t_max!r}")
     if num_points < 2 or not t_max > t_min:
@@ -274,6 +283,9 @@ def cmd_verify(config: dict, args) -> int:
         section, "max_twice_j", int, default=24)
     draws = args.draws if args.draws is not None else _get(section, "draws", int, default=40)
     seed = args.seed if args.seed is not None else _get(section, "seed", int, default=0)
+    if max_twice_j < 1 or draws < 1 or seed < 0:
+        raise ConfigError(f"need max_twice_j >= 1, draws >= 1 and seed >= 0, "
+                          f"got {max_twice_j}, {draws} and {seed}")
     report = build_report(max_twice_j=max_twice_j, draws=draws, seed=seed)
     text = json.dumps(report, indent=2) + "\n"
     if args.out:

@@ -43,7 +43,7 @@ from .model import (
     rate_relation,
     two_mode_coefficients,
 )
-from .observables import count_peaks, dicke_distribution, ground_distribution
+from .observables import count_peaks, ground_distribution
 from .rotation import RotationAngles, little_d, rotation_matrix
 from .spectrum import brute_diagonalize, exact_spectrum, ground_state, residual_norm
 from .su2 import HalfInt, commutator, operator_matrix
@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 CV_LIMIT = 1e-6
+# spectrum_vs_oracle draws twice_j up to this, whatever max_twice_j asks for;
+# the report's settings carry the cap actually used
+ORACLE_MAX_TWICE_J = 20
 SWEEP_THETAS = np.linspace(0.1, 3.0, 20)
 
 
@@ -175,16 +178,17 @@ def run_required_checks(max_twice_j: int = 24, draws: int = 40,
     add("rotation_unitarity", worst, 1e-10, "U†U = I, dim <= 51")
 
     # closed-form spectrum vs brute-force oracle
+    oracle_twice_j = min(max_twice_j, ORACLE_MAX_TWICE_J)
     worst = 0.0
     for _ in range(draws):
         params = _random_params(rng)
-        twice_j = int(rng.integers(1, min(max_twice_j, 20) + 1))
+        twice_j = int(rng.integers(1, oracle_twice_j + 1))
         j = HalfInt(twice_j)
         h = model_hamiltonian(params, j)
         w, _ = brute_diagonalize(h)
         exact = np.sort([p.energy for p in exact_spectrum(params, j)])
         worst = max(worst, np.max(np.abs(np.sort(w) - exact)))
-    add("spectrum_vs_oracle", worst, 1e-9, f"{draws} random draws, j <= {min(max_twice_j, 20)/2}")
+    add("spectrum_vs_oracle", worst, 1e-9, f"{draws} random draws, j <= {oracle_twice_j / 2}")
 
     # eigenpair certificates
     params = ModelParams(order=3, coeffs=(0.5, 1.0, 2.0, 3.0), angles=RotationAngles(1.2, 0.8))
@@ -409,7 +413,9 @@ def build_report(max_twice_j: int = 24, draws: int = 40, seed: int = 0,
     passed = all(c.passed for c in required) and all(d.passed for d in diagnostics)
     return {
         "passed": passed,
-        "settings": {"max_twice_j": max_twice_j, "draws": draws, "seed": seed},
+        "settings": {"max_twice_j": max_twice_j,
+                     "oracle_max_twice_j": min(max_twice_j, ORACLE_MAX_TWICE_J),
+                     "draws": draws, "seed": seed},
         "required": [asdict(c) for c in required],
         "diagnostics": [asdict(d) for d in diagnostics],
         "observations": [asdict(o) for o in observations],

@@ -224,3 +224,33 @@ def test_convention_flag_removed(tmp_path):
         main(["spectrum", "--j", "2", "--A", "0,1", "--theta", "0.5",
               "--out", str(tmp_path / "s.csv"), "--convention", "standard"])
     assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv,section", [
+    (["--max-j", "0"], ""),
+    (["--draws", "0"], ""),
+    (["--draws", "-3"], ""),
+    ([], "max_twice_j = 0\n"),
+    ([], "draws = -1\n"),
+    (["--seed", "-1"], ""),
+    ([], "seed = -2\n"),
+], ids=["max-j-flag-0", "draws-flag-0", "draws-flag-negative", "max_twice_j-key-0",
+        "draws-key-negative", "seed-flag-negative", "seed-key-negative"])
+def test_verify_bad_sizes_are_config_errors(tmp_path, argv, section):
+    cfg = write_config(tmp_path, "verify.ini", "[verify]\n" + section)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out), *argv]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("twice_j", [2000, 0])
+def test_evolve_memory_budget_checked_before_allocating(tmp_path, twice_j):
+    # without the check, np.linspace would ask for 8 TB and raise MemoryError
+    cfg = write_config(
+        tmp_path, "huge.ini",
+        f"[model]\ntwice_j = {twice_j}\ncoeffs = 0,1,0.01\ntheta = 1.1\n"
+        f"[evolve]\nt_max = 10.0\nnum_points = {10**12}\ninitial = dicke:{twice_j}\n",
+    )
+    out = tmp_path / "o.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()

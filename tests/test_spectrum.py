@@ -17,7 +17,12 @@ from exactspin import (
     operator_matrix,
     residual_norm,
 )
-from exactspin.spectrum import ORACLE_MAX_DIM, _closed_form_quadratic, _scan_minimum
+from exactspin.spectrum import (
+    ORACLE_MAX_DIM,
+    _closed_form_quadratic,
+    _round_robin,
+    _scan_minimum,
+)
 
 
 def test_exact_spectrum_trivial_at_theta_zero():
@@ -205,3 +210,63 @@ def test_brute_diagonalize_rejects_bad_input():
         brute_diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         brute_diagonalize(np.zeros((ORACLE_MAX_DIM + 1, ORACLE_MAX_DIM + 1), dtype=complex))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_round_robin_covers_every_pair_once_in_disjoint_rounds(n):
+    rounds = _round_robin(n)
+    seen = []
+    for p, q in rounds:
+        assert np.all(p < q)
+        touched = np.concatenate([p, q])
+        assert len(set(touched.tolist())) == touched.size  # disjoint within the round
+        seen += list(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    assert len(rounds) == n - 1 + n % 2
+
+
+def _assert_certified(h, w, v):
+    n = h.shape[0]
+    scale = np.max(np.abs(h))
+    assert np.max(np.abs(h @ v - v * w[None, :])) < 1e-9 * scale
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-9
+    assert np.all(np.diff(w) >= 0)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 21, 30, 61])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_brute_diagonalize_against_eigvalsh(n, kind):
+    rng = np.random.default_rng(100 + n)
+    b = rng.normal(size=(n, n))
+    if kind == "complex":
+        b = b + 1j * rng.normal(size=(n, n))
+    h = (b + b.conj().T) / 2
+    w, v = brute_diagonalize(h)
+    _assert_certified(h, w, v)
+
+
+def test_brute_diagonalize_degenerate_spectra():
+    jx = operator_matrix(HalfInt(8), "Jx")
+    w, v = brute_diagonalize(jx)
+    _assert_certified(jx, w, v)
+    np.testing.assert_allclose(w, np.arange(-4.0, 5.0), atol=1e-10)
+
+    # two copies of one block plus a multiple of the identity: every level repeated
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    block = (b + b.conj().T) / 2
+    h = np.zeros((11, 11), dtype=complex)
+    h[:4, :4] = block
+    h[4:8, 4:8] = block
+    h[8:, 8:] = 0.5 * np.eye(3)
+    w, v = brute_diagonalize(h)
+    _assert_certified(h, w, v)
+
+
+def test_brute_diagonalize_diagonal_input_returns_at_once():
+    diag = np.array([3.0, -1.0, 2.0, -1.0, 0.5])
+    w, v = brute_diagonalize(np.diag(diag).astype(complex))
+    order = np.argsort(diag, kind="stable")
+    assert np.array_equal(w, diag[order])
+    assert np.array_equal(v, np.eye(5)[:, order])

@@ -63,3 +63,11 @@ def test_build_report_structure():
         assert {"name", "passed", "measured", "limit"} <= set(entry)
     for entry in report["diagnostics"]:
         assert entry["cv"] < CV_LIMIT
+
+
+def test_report_settings_carry_the_oracle_cap():
+    settings = build_report(max_twice_j=100, draws=1, seed=0, sweep_twice_j=8)["settings"]
+    assert settings["max_twice_j"] == 100
+    assert settings["oracle_max_twice_j"] == 20
+    small = build_report(max_twice_j=6, draws=1, seed=0, sweep_twice_j=8)["settings"]
+    assert small["oracle_max_twice_j"] == 6
