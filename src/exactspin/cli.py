@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import EigenbasisState, evolve_observable, paper_jz_series, to_eigenbasis
 from .model import ModelParams
 from .observables import dicke_distribution
-from .rotation import RotationAngles, rotated_basis_state
+from .rotation import RotationAngles
 from .spectrum import exact_spectrum, ground_state, residual_norm
 from .su2 import HalfInt, dicke_index, m_floats
 from .verify import build_report
@@ -38,6 +38,9 @@ EXIT_IO = 4
 # evolve holds num_points x (dim - 1) float64 arrays per observable series,
 # plus num_points-long columns; num_points x dim x 8 bytes bounds both
 EVOLVE_MAX_BYTES = 1 << 30
+# spectrum, ground and evolve build dense dim x dim arrays peaking near
+# 56 x dim^2 bytes; 64 x dim^2 must fit in 4 GiB, so twice_j <= 8191
+DENSE_MAX_BYTES = 1 << 32
 
 ALLOWED_KEYS = {
     "model": {"twice_j", "coeffs", "theta", "phi"},
@@ -69,8 +72,23 @@ def _write_atomic(path: str, content: str) -> None:
         raise
 
 
-def _csv(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n"
+def _meta_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else _fmt(value)
+
+
+def _write_table(path: str, fmt: str, columns: dict, meta: dict | None = None) -> None:
+    """CSV ('# key=value' meta lines, header, rows) or one JSON object: meta, then columns."""
+    meta = meta or {}
+    if fmt == "json":
+        doc = {**meta, **{name: [float(x) for x in col] for name, col in columns.items()}}
+        _write_atomic(path, json.dumps(doc, indent=2) + "\n")
+        return
+    lines = [f"# {key}={_meta_text(value)}" for key, value in meta.items()]
+    lines.append(",".join(columns))
+    lines += [",".join(map(_fmt, row)) for row in zip(*columns.values())]
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _read_config(path: str | None) -> dict[str, dict[str, str]]:
@@ -131,6 +149,9 @@ def _build_model(config: dict, args) -> tuple[ModelParams, HalfInt]:
     twice_j = _get(section, "twice_j", int)
     if twice_j < 0:
         raise ConfigError(f"twice_j must be nonnegative, got {twice_j}")
+    if 64 * (twice_j + 1) ** 2 > DENSE_MAX_BYTES:
+        raise ConfigError(f"twice_j={twice_j} needs 64 * (twice_j + 1)^2 bytes of "
+                          f"dense arrays, over the {DENSE_MAX_BYTES}-byte budget")
     coeffs = _parse_coeffs(_get(section, "coeffs", str))
     theta = _get(section, "theta", float)
     phi = _get(section, "phi", float, default=0.0)
@@ -160,11 +181,10 @@ def _parse_initial(spec: str, params: ModelParams, j: HalfInt) -> EigenbasisStat
             k = dicke_index(j, m)
         except ValueError as exc:
             raise ConfigError(f"initial {spec!r} invalid for twice_j={j.twice}: {exc}") from exc
-        if kind == "rotated":
-            return to_eigenbasis(params, j, rotated_basis_state(j, params.angles, m))
-        psi = np.zeros(dim, dtype=complex)
-        psi[k] = 1.0
-        return to_eigenbasis(params, j, psi)
+        e_k = np.zeros(dim, dtype=complex)
+        e_k[k] = 1.0
+        # rotated:m is U†|m>, whose coefficients U·U†|m> are e_k itself
+        return EigenbasisState(e_k) if kind == "rotated" else to_eigenbasis(params, j, e_k)
     if kind == "amplitudes":
         try:
             amps = np.array([complex(tok) for tok in rest.split(",")])
@@ -184,19 +204,11 @@ def cmd_spectrum(config: dict, args) -> int:
     params, j = _build_model(config, args)
     path, fmt = _output_target(config, args, "spectrum.csv")
     pairs = exact_spectrum(params, j)
-    residuals = [residual_norm(params, j, p) for p in pairs]
-    if fmt == "csv":
-        lines = ["m,energy,residual"]
-        lines += [f"{_fmt(p.m.value)},{_fmt(p.energy)},{_fmt(r)}"
-                  for p, r in zip(pairs, residuals)]
-        _write_atomic(path, _csv(lines))
-    else:
-        doc = {
-            "m": [p.m.value for p in pairs],
-            "energy": [p.energy for p in pairs],
-            "residual": residuals,
-        }
-        _write_atomic(path, json.dumps(doc, indent=2) + "\n")
+    _write_table(path, fmt, {
+        "m": [p.m.value for p in pairs],
+        "energy": [p.energy for p in pairs],
+        "residual": [residual_norm(params, j, p) for p in pairs],
+    })
     return EXIT_OK
 
 
@@ -204,28 +216,10 @@ def cmd_ground(config: dict, args) -> int:
     params, j = _build_model(config, args)
     path, fmt = _output_target(config, args, "ground.csv")
     result = ground_state(params, j)
-    dist = dicke_distribution(result.pair.vector)
-    m_grid = m_floats(j)
-    if fmt == "csv":
-        lines = [
-            f"# m0={_fmt(result.m0.value)}",
-            f"# energy={_fmt(result.pair.energy)}",
-            f"# degenerate={str(result.degenerate).lower()}",
-            f"# method={result.method}",
-            "m,probability",
-        ]
-        lines += [f"{_fmt(m)},{_fmt(p)}" for m, p in zip(m_grid, dist.probs)]
-        _write_atomic(path, _csv(lines))
-    else:
-        doc = {
-            "m0": result.m0.value,
-            "energy": result.pair.energy,
-            "degenerate": result.degenerate,
-            "method": result.method,
-            "m": [float(m) for m in m_grid],
-            "probability": [float(p) for p in dist.probs],
-        }
-        _write_atomic(path, json.dumps(doc, indent=2) + "\n")
+    meta = {"m0": result.m0.value, "energy": result.pair.energy,
+            "degenerate": result.degenerate, "method": result.method}
+    probs = dicke_distribution(result.pair.vector).probs
+    _write_table(path, fmt, {"m": m_floats(j), "probability": probs}, meta)
     return EXIT_OK
 
 
@@ -252,28 +246,11 @@ def cmd_evolve(config: dict, args) -> int:
                            default=params.order == 2)
     state = _parse_initial(_get(section, "initial", str), params, j)
     times = np.linspace(t_min, t_max, num_points)
-    jz = evolve_observable(params, j, state, "Jz", times)
-    jy = evolve_observable(params, j, state, "Jy", times)
-    printed = None
+    columns = {"t": times, "jz_exact": evolve_observable(params, j, state, "Jz", times).values}
     if include_printed and params.order == 2:
-        printed = paper_jz_series(params, j, state, times)
-    if fmt == "csv":
-        header = "t,jz_exact" + (",jz_paper_formula" if printed else "") + ",jy_exact"
-        lines = [header]
-        for i, t in enumerate(times):
-            row = [_fmt(t), _fmt(jz.values[i])]
-            if printed:
-                row.append(_fmt(printed.values[i]))
-            row.append(_fmt(jy.values[i]))
-            lines.append(",".join(row))
-        _write_atomic(path, _csv(lines))
-    else:
-        doc = {"t": [float(t) for t in times],
-               "jz_exact": [float(v) for v in jz.values]}
-        if printed:
-            doc["jz_paper_formula"] = [float(v) for v in printed.values]
-        doc["jy_exact"] = [float(v) for v in jy.values]
-        _write_atomic(path, json.dumps(doc, indent=2) + "\n")
+        columns["jz_paper_formula"] = paper_jz_series(params, j, state, times).values
+    columns["jy_exact"] = evolve_observable(params, j, state, "Jy", times).values
+    _write_table(path, fmt, columns)
     return EXIT_OK
 
 
@@ -340,7 +317,7 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -27,9 +27,9 @@ import numpy as np
 
 from .dynamics import (
     EigenbasisState,
+    _rotated_bands,
     evolve_observable,
     paper_jz_series,
-    rotated_observable,
     state_at,
     to_eigenbasis,
 )
@@ -270,23 +270,13 @@ def run_diagnostic_sweeps(twice_j: int = 12, phi: float = 0.4,
                           seed: int = 0) -> list[DiagnosticSweep]:
     j = HalfInt(twice_j)
 
-    def linear_band(theta):
-        params = ModelParams.quadratic(1.0, 0.0, theta, phi)
-        printed = paper_literal_h2(params, j).matrix
-        exact = model_hamiltonian(params, j)
-        return _band_max(printed, 1) / _band_max(exact, 1)
-
-    def cross_band(theta):
-        params = ModelParams.quadratic(0.0, 1.0, theta, phi)
-        printed = paper_literal_h2(params, j).matrix
-        exact = model_hamiltonian(params, j)
-        return _band_max(printed, 1) / _band_max(exact, 1)
-
-    def double_band(theta):
-        params = ModelParams.quadratic(0.0, 1.0, theta, phi)
-        printed = paper_literal_h2(params, j).matrix
-        exact = model_hamiltonian(params, j)
-        return _band_max(printed, 2) / _band_max(exact, 2)
+    def band_ratio(a1, a2, offset):
+        def ratio(theta):
+            params = ModelParams.quadratic(a1, a2, theta, phi)
+            printed = paper_literal_h2(params, j).matrix
+            exact = model_hamiltonian(params, j)
+            return _band_max(printed, offset) / _band_max(exact, offset)
+        return ratio
 
     def rate_ratio(theta):
         lhs, rhs = rate_relation(ModelParams.quadratic(1.0, 0.01, theta, phi))
@@ -301,8 +291,8 @@ def run_diagnostic_sweeps(twice_j: int = 12, phi: float = 0.4,
     def printed_formula_rms(theta):
         params = ModelParams.quadratic(1.0, 0.05, theta, phi)
         exact = evolve_observable(params, j, fixed_state, "Jz", times)
-        mat = rotated_observable(params, j, "Jz")
-        stationary = float(np.real(np.sum(np.abs(c) ** 2 * np.diag(mat).real)))
+        diag, _ = _rotated_bands(j, params.angles, "Jz")
+        stationary = float(np.sum(np.abs(c) ** 2 * diag))
         osc = exact.values - stationary
         printed = paper_jz_series(params, j, fixed_state, times)
         return float(np.sqrt(np.mean(printed.values**2)) / np.sqrt(np.mean(osc**2)))
@@ -319,11 +309,11 @@ def run_diagnostic_sweeps(twice_j: int = 12, phi: float = 0.4,
         return float(np.max(np.abs(odd_lit)) / np.max(np.abs(odd_std)))
 
     return [
-        _sweep("printed_h2_linear_band_factor", linear_band,
+        _sweep("printed_h2_linear_band_factor", band_ratio(1.0, 0.0, 1),
                "one-flip band of the printed quadratic expansion vs rotated diagonal"),
-        _sweep("printed_h2_cross_band_factor", cross_band,
+        _sweep("printed_h2_cross_band_factor", band_ratio(0.0, 1.0, 1),
                "flip-plus-dispersion band of the printed expansion vs rotated diagonal"),
-        _sweep("printed_h2_double_band_factor", double_band,
+        _sweep("printed_h2_double_band_factor", band_ratio(0.0, 1.0, 2),
                "two-flip band of the printed expansion vs rotated diagonal"),
         _sweep("rate_identity_factor", rate_ratio,
                "(mu+Lambda)/U divided by the printed closed form"),

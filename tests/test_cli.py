@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 import exactspin.verify
-from exactspin.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from exactspin.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, _parse_initial, main
+from exactspin.dynamics import to_eigenbasis
+from exactspin.model import ModelParams
+from exactspin.rotation import rotated_basis_state
+from exactspin.su2 import HalfInt, dicke_index
 
 
 def write_config(tmp_path, name, text):
@@ -254,3 +258,85 @@ def test_evolve_memory_budget_checked_before_allocating(tmp_path, twice_j):
     out = tmp_path / "o.csv"
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def _read_csv_table(path):
+    meta = {}
+    lines = path.read_text().splitlines()
+    while lines[0].startswith("# "):
+        key, _, value = lines.pop(0)[2:].partition("=")
+        meta[key] = value
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return meta, header, rows
+
+
+def _meta_value(text):
+    if text in ("true", "false"):
+        return text == "true"
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+@pytest.mark.parametrize("argv,section", [
+    (["spectrum", "--j", "45", "--A", "0.3,1,-0.2,0.05", "--theta", "1.2", "--phi", "0.7"], None),
+    (["ground", "--j", "41", "--A", "0,0,1", "--theta", "0.9"], None),
+    (["ground", "--j", "30", "--A", "0.1234567890123,1,0.3", "--theta", "0.7"], None),
+    (["evolve"], "include_printed_formula = true\n"),
+    (["evolve"], "include_printed_formula = false\n"),
+], ids=["spectrum", "ground-degenerate", "ground", "evolve-printed", "evolve-no-printed"])
+def test_csv_and_json_tables_carry_the_same_fields_and_floats(tmp_path, argv, section):
+    if section is not None:
+        argv = argv + ["--config", write_config(
+            tmp_path, "e.ini",
+            "[model]\ntwice_j = 7\ncoeffs = 0.2,1,0.05\ntheta = 1.1\nphi = 0.4\n"
+            "[evolve]\nt_max = 20.0\nnum_points = 60\n"
+            "initial = amplitudes:1,2,0,1j,3,0.5,0,1\n" + section)]
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--out", str(csv_out)]) == EXIT_OK
+    assert main(argv + ["--out", str(json_out), "--format", "json"]) == EXIT_OK
+    meta, header, rows = _read_csv_table(csv_out)
+    doc = json.loads(json_out.read_text())
+    assert list(doc) == list(meta) + header
+    if argv[0] == "ground":
+        assert list(meta) == ["m0", "energy", "degenerate", "method"]
+        assert doc["degenerate"] is (argv[4] == "0,0,1")
+    if argv[0] == "evolve":
+        assert ("jz_paper_formula" in header) is ("true" in section)
+    for key, text in meta.items():
+        assert _meta_value(text) == doc[key]
+        assert type(_meta_value(text)) is type(doc[key])
+    for i, name in enumerate(header):
+        column = [float(row[i]) for row in rows]
+        assert column == doc[name]
+        assert all(type(x) is float for x in doc[name])
+
+
+@pytest.mark.parametrize("twice_m", [-7, -1, 3, 7])
+def test_rotated_initial_state_is_exactly_a_unit_vector(twice_m):
+    j = HalfInt(7)
+    params = ModelParams.quadratic(1.0, 0.05, theta=1.1, phi=0.4)
+    state = _parse_initial(f"rotated:{twice_m}", params, j)
+    e_k = np.zeros(8, dtype=complex)
+    e_k[dicke_index(j, HalfInt(twice_m))] = 1.0
+    assert np.array_equal(state.coeffs, e_k)
+    # the same state as rotating U†|m> into the eigenbasis, up to rounding
+    dense = to_eigenbasis(params, j, rotated_basis_state(j, params.angles, HalfInt(twice_m)))
+    assert np.max(np.abs(dense.coeffs - e_k)) < 1e-12
+
+
+@pytest.mark.parametrize("twice_j", [10**6, 8192])
+@pytest.mark.parametrize("command", ["spectrum", "ground", "evolve"])
+def test_huge_j_refused_before_dense_arrays_are_built(tmp_path, capsys, command, twice_j):
+    # 64 * dim^2 bytes: ~64 TB at twice_j = 10**6, just over 4 GiB at 8192
+    cfg = write_config(tmp_path, "e.ini",
+                       "[evolve]\nt_max = 10.0\nnum_points = 5\ninitial = dicke:0\n")
+    out = tmp_path / "o.csv"
+    code = main([command, "--j", str(twice_j), "--A", "0,1,0.01", "--theta", "1.1",
+                 "--config", cfg, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "byte budget" in err and "Traceback" not in err
