@@ -58,6 +58,7 @@ from .dynamics import (
     TimeSeries,
     envelope_metric,
     evolve_observable,
+    evolve_series,
     paper_jz_series,
     revival_time,
     rotated_observable,

@@ -20,10 +20,10 @@ import tempfile
 
 import numpy as np
 
-from .dynamics import EigenbasisState, evolve_observable, paper_jz_series, to_eigenbasis
+from .dynamics import EigenbasisState, evolve_series, to_eigenbasis
 from .model import ModelParams
 from .observables import dicke_distribution
-from .rotation import RotationAngles
+from .rotation import RotationAngles, little_d_row
 from .spectrum import exact_spectrum, ground_state, residual_norm
 from .su2 import HalfInt, dicke_index, m_floats
 from .verify import build_report
@@ -35,11 +35,14 @@ EXIT_CONFIG = 2
 EXIT_CHECK = 3
 EXIT_IO = 4
 
-# evolve holds num_points x (dim - 1) float64 arrays per observable series,
-# plus num_points-long columns; num_points x dim x 8 bytes bounds both
+# evolve works through its series in time chunks of bounded size and keeps
+# only num_points-long columns; this bound on num_points x dim x 8 bytes
+# predates the chunking and keeps its value because tests pin it
 EVOLVE_MAX_BYTES = 1 << 30
-# spectrum, ground and evolve build dense dim x dim arrays peaking near
-# 56 x dim^2 bytes; 64 x dim^2 must fit in 4 GiB, so twice_j <= 8191
+# spectrum (the little-d matrix) and evolve from amplitudes: (the Jy
+# eigensystem) build dense dim x dim arrays, spectrum peaking near
+# 56 x dim^2 bytes; 64 x dim^2 must fit in 4 GiB, so twice_j <= 8191.  ground
+# and the other evolve paths are O(dim) but share the cap, which tests pin
 DENSE_MAX_BYTES = 1 << 32
 
 ALLOWED_KEYS = {
@@ -79,8 +82,18 @@ def _meta_text(value) -> str:
 
 
 def _write_table(path: str, fmt: str, columns: dict, meta: dict | None = None) -> None:
-    """CSV ('# key=value' meta lines, header, rows) or one JSON object: meta, then columns."""
+    """CSV ('# key=value' meta lines, header, rows) or one JSON object: meta, then columns.
+
+    A non-finite column value or float meta field (an overflow) is refused before
+    anything is written: JSON has no token for it."""
     meta = meta or {}
+    for name, col in columns.items():
+        if not np.all(np.isfinite(col)):
+            raise ConfigError(f"column {name!r} has non-finite values (float overflow); "
+                              f"no output written")
+    for key, value in meta.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key!r} is {value} (float overflow); no output written")
     if fmt == "json":
         doc = {**meta, **{name: [float(x) for x in col] for name, col in columns.items()}}
         _write_atomic(path, json.dumps(doc, indent=2) + "\n")
@@ -181,10 +194,16 @@ def _parse_initial(spec: str, params: ModelParams, j: HalfInt) -> EigenbasisStat
             k = dicke_index(j, m)
         except ValueError as exc:
             raise ConfigError(f"initial {spec!r} invalid for twice_j={j.twice}: {exc}") from exc
-        e_k = np.zeros(dim, dtype=complex)
-        e_k[k] = 1.0
-        # rotated:m is U†|m>, whose coefficients U·U†|m> are e_k itself
-        return EigenbasisState(e_k) if kind == "rotated" else to_eigenbasis(params, j, e_k)
+        if kind == "rotated":
+            # rotated:m is U†|m>, whose coefficients U·U†|m> are e_k itself
+            coeffs = np.zeros(dim, dtype=complex)
+            coeffs[k] = 1.0
+        else:
+            # U|m> = e^{i phi m} (column k of d(theta)), and d is orthogonal,
+            # so that column is row k of d(-theta)
+            angles = params.angles
+            coeffs = np.exp(1j * angles.phi * m_floats(j)) * little_d_row(j, -angles.theta, k)
+        return EigenbasisState(coeffs)
     if kind == "amplitudes":
         try:
             amps = np.array([complex(tok) for tok in rest.split(",")])
@@ -246,11 +265,11 @@ def cmd_evolve(config: dict, args) -> int:
                            default=params.order == 2)
     state = _parse_initial(_get(section, "initial", str), params, j)
     times = np.linspace(t_min, t_max, num_points)
-    columns = {"t": times, "jz_exact": evolve_observable(params, j, state, "Jz", times).values}
-    if include_printed and params.order == 2:
-        columns["jz_paper_formula"] = paper_jz_series(params, j, state, times).values
-    columns["jy_exact"] = evolve_observable(params, j, state, "Jy", times).values
-    _write_table(path, fmt, columns)
+    series = {"jz_exact": "Jz", "jz_paper_formula": "printed", "jy_exact": "Jy"}
+    if not (include_printed and params.order == 2):
+        del series["jz_paper_formula"]
+    values = evolve_series(params, j, state, tuple(series.values()), times)
+    _write_table(path, fmt, {"t": times, **dict(zip(series, values.T))})
     return EXIT_OK
 
 

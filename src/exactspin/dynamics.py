@@ -3,7 +3,10 @@
 Evolution is spectral: a state expressed in the closed-form eigenbasis
 only rotates coefficient phases.  U O U† is tridiagonal for O = Jz, Jx,
 Jy, so an expectation value is a static part plus one beat per pair of
-adjacent levels, O(dim) per time point.
+adjacent levels, O(dim) per time point.  evolve_series evaluates several
+series in one pass over chunks of the time grid: the phases of a chunk
+are formed once, and their cos and sin multiply the stacked weights of
+every series, so memory stays bounded by SERIES_CHUNK_BYTES at any j.
 
 The printed population-evolution formula for the quadratic model is also
 evaluated verbatim (no conjugates, squared ladder factor, as printed) as
@@ -28,12 +31,15 @@ __all__ = [
     "state_at",
     "rotated_observable",
     "evolve_observable",
+    "evolve_series",
     "paper_jz_series",
     "revival_time",
     "envelope_metric",
 ]
 
 EVOLVE_OBSERVABLES = ("Jz", "Jy", "Jx")
+# bytes of one chunk's phase array; its cos and sin take as much again each
+SERIES_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -111,21 +117,53 @@ def rotated_observable(params: ModelParams, j, obs: str) -> np.ndarray:
     return np.diag(diag.astype(complex)) + np.diag(sup, 1) + np.diag(sup.conj(), -1)
 
 
-def evolve_observable(params: ModelParams, j, state: EigenbasisState, obs: str,
-                      times) -> TimeSeries:
-    """Exact series <O>(t) = c(t)† (U O U†) c(t), c(t) = C e^{-iEt}, summed over the bands as
-    sum_k O_kk |C_k|^2 + 2 Re sum_k conj(C_k) O_{k,k+1} C_{k+1} e^{-i(E_{k+1} - E_k) t}."""
+def _series_weights(params: ModelParams, j, state: EigenbasisState,
+                    name: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """(static part, cos weights, sin weights) of one series over the level gaps."""
+    c = state.coeffs
+    if name == "printed":
+        if params.order != 2:
+            raise ValueError(f"printed formula is defined for order 2, got {params.order}")
+        m = m_floats(j)[1:]
+        jval = j.twice / 2.0
+        # term k >= 1 pairs C_k C_{k-1} with frequency E_{k-1} - E_k
+        w = -math.sin(params.angles.theta) * (
+            c[1:] * c[:-1] * (jval * (jval + 1.0) - m * (m - 1.0))).real
+        # cos(phi - x) = cos(phi) cos(x) + sin(phi) sin(x)
+        phi = params.angles.phi
+        return 0.0, math.cos(phi) * w, math.sin(phi) * w
+    diag, sup = _rotated_bands(j, params.angles, name)
+    beats = 2.0 * (c[:-1].conj() * sup * c[1:])
+    # 2 Re(b e^{-i w t}) = 2 Re(b) cos(w t) + 2 Im(b) sin(w t)
+    return float(np.sum(diag * np.abs(c) ** 2)), beats.real, beats.imag
+
+
+def evolve_series(params: ModelParams, j, state: EigenbasisState, names, times) -> np.ndarray:
+    """Columns of the named series over times, shape (len(times), len(names)).
+
+    A name is an observable of EVOLVE_OBSERVABLES (the exact <O>(t)) or
+    "printed" (the printed formula, order 2 only).  All of them come from
+    one pass over time chunks of at most SERIES_CHUNK_BYTES of phases."""
     j = _check_j(j)
     times = np.asarray(times, dtype=float)
     if state.dim != j.twice + 1:
         raise ValueError(f"state dim {state.dim} does not match 2j+1 = {j.twice + 1}")
-    diag, sup = _rotated_bands(j, params.angles, obs)
-    c = state.coeffs
-    static = float(np.sum(diag * np.abs(c) ** 2))
-    beats = c[:-1].conj() * sup * c[1:]
-    # Re(b e^{-i w t}) = Re(b) cos(w t) + Im(b) sin(w t)
-    phase = np.outer(times, np.diff(energy_values(params, j)))
-    values = static + 2.0 * (np.cos(phase) @ beats.real + np.sin(phase) @ beats.imag)
+    static, wcos, wsin = zip(*(_series_weights(params, j, state, name) for name in names))
+    wcos, wsin = np.stack(wcos, axis=1), np.stack(wsin, axis=1)
+    gaps = np.diff(energy_values(params, j))
+    rows = max(1, SERIES_CHUNK_BYTES // (8 * max(1, gaps.size)))
+    values = np.empty((times.size, len(names)))
+    for start in range(0, times.size, rows):
+        phase = np.outer(times[start:start + rows], gaps)
+        values[start:start + rows] = np.cos(phase) @ wcos + np.sin(phase) @ wsin
+    return values + np.array(static)
+
+
+def evolve_observable(params: ModelParams, j, state: EigenbasisState, obs: str,
+                      times) -> TimeSeries:
+    """Exact series <O>(t) = c(t)† (U O U†) c(t), c(t) = C e^{-iEt}, summed over the bands as
+    sum_k O_kk |C_k|^2 + 2 Re sum_k conj(C_k) O_{k,k+1} C_{k+1} e^{-i(E_{k+1} - E_k) t}."""
+    values = evolve_series(params, j, state, (obs,), times)[:, 0]
     return TimeSeries(times=times, values=values, label=f"<{obs}>")
 
 
@@ -137,19 +175,7 @@ def paper_jz_series(params: ModelParams, j, state: EigenbasisState, times) -> Ti
     printed; the total-spin label in the factor is read as j.  Intended
     only for comparison against evolve_observable.
     """
-    if params.order != 2:
-        raise ValueError(f"printed formula is defined for order 2, got {params.order}")
-    j = _check_j(j)
-    times = np.asarray(times, dtype=float)
-    if state.dim != j.twice + 1:
-        raise ValueError(f"state dim {state.dim} does not match 2j+1 = {j.twice + 1}")
-    m = m_floats(j)[1:]
-    jval = j.twice / 2.0
-    c = state.coeffs
-    # term k >= 1 pairs C_k C_{k-1} with frequency E_{k-1} - E_k
-    weights = c[1:] * c[:-1] * (jval * (jval + 1.0) - m * (m - 1.0))
-    phase = params.angles.phi - np.outer(times, np.diff(energy_values(params, j)))
-    values = -math.sin(params.angles.theta) * (np.cos(phase) @ weights.real)
+    values = evolve_series(params, j, state, ("printed",), times)[:, 0]
     return TimeSeries(times=times, values=values, label="<Jz> printed formula")
 
 

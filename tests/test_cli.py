@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import exactspin.dynamics
 import exactspin.verify
 from exactspin.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, _parse_initial, main
-from exactspin.dynamics import to_eigenbasis
+from exactspin.dynamics import evolve_observable, paper_jz_series, to_eigenbasis
 from exactspin.model import ModelParams
 from exactspin.rotation import rotated_basis_state
 from exactspin.su2 import HalfInt, dicke_index
@@ -340,3 +344,84 @@ def test_huge_j_refused_before_dense_arrays_are_built(tmp_path, capsys, command,
     assert not out.exists()
     err = capsys.readouterr().err
     assert "byte budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("twice_j", [7, 200])
+@pytest.mark.parametrize("phi", [0.0, 1.1])
+def test_dicke_initial_state_is_the_signed_rotated_column(twice_j, phi):
+    j = HalfInt(twice_j)
+    params = ModelParams.quadratic(1.0, 0.01, theta=1.5, phi=phi)
+    for twice_m in (-twice_j, 2 - twice_j, twice_j % 2, twice_j - 2, twice_j):
+        e_k = np.zeros(twice_j + 1, dtype=complex)
+        e_k[dicke_index(j, HalfInt(twice_m))] = 1.0
+        state = _parse_initial(f"dicke:{twice_m}", params, j)
+        np.testing.assert_allclose(state.coeffs, to_eigenbasis(params, j, e_k).coeffs,
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("twice_j,num_points,chunk_rows", [
+    (7, 300, 7), (200, 3001, None), (2000, 601, None), (2000, 90, 13)])
+def test_fused_evolve_columns_equal_the_separate_series(tmp_path, monkeypatch,
+                                                        twice_j, num_points, chunk_rows):
+    if chunk_rows is not None:
+        monkeypatch.setattr(exactspin.dynamics, "SERIES_CHUNK_BYTES", 8 * twice_j * chunk_rows)
+    rows = exactspin.dynamics.SERIES_CHUNK_BYTES // (8 * twice_j)
+    assert 0 < num_points % rows < num_points  # several chunks, the last one partial
+    cfg = write_config(tmp_path, "e.ini",
+                       f"[model]\ntwice_j = {twice_j}\ncoeffs = 0.3,-1.1,0.012\n"
+                       f"theta = 1.1\nphi = 2.3\n[evolve]\nt_max = 300.0\n"
+                       f"num_points = {num_points}\ninitial = dicke:{twice_j - 2}\n")
+    out = tmp_path / "e.json"
+    assert main(["evolve", "--config", cfg, "--out", str(out), "--format", "json"]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    j = HalfInt(twice_j)
+    params = ModelParams.quadratic(-1.1, 0.012, theta=1.1, phi=2.3, a0=0.3)
+    state = _parse_initial(f"dicke:{twice_j - 2}", params, j)
+    times = np.array(doc["t"])
+    expected = {"jz_exact": evolve_observable(params, j, state, "Jz", times).values,
+                "jz_paper_formula": paper_jz_series(params, j, state, times).values,
+                "jy_exact": evolve_observable(params, j, state, "Jy", times).values}
+    assert list(doc) == ["t", *expected]
+    for name, ref in expected.items():
+        np.testing.assert_allclose(doc[name], ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_table_values_are_refused(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    code = main(["spectrum", "--j", "4", "--A", "0,1e308,1e308", "--theta", "1",
+                 "--format", "json", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists() and os.listdir(tmp_path) == []
+    err = capsys.readouterr().err
+    assert "'energy'" in err and "Traceback" not in err
+    assert main(["spectrum", "--j", "4", "--A", "0,1,0.5", "--theta", "1",
+                 "--format", "json", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert len(doc["energy"]) == 5
+
+
+def test_ground_and_evolve_never_load_scipy_linalg(tmp_path):
+    # scipy.linalg is imported lazily by the dense Jy eigensystem only
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactspin.verify.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = {"": False,
+            "ground --config recipes/fig1a.ini": False,
+            "evolve --config recipes/fig2.ini": False,
+            "spectrum --j 20 --A 0,1,0.1 --theta 0.4": True}
+    for argv, loaded in runs.items():
+        out = tmp_path / "out.csv"
+        code = ("import sys, exactspin, exactspin.cli\n"
+                f"argv = {argv.split()!r}\n"
+                f"assert not argv or exactspin.cli.main(argv + ['--out', {str(out)!r}]) == 0\n"
+                "print('scipy.linalg' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == str(loaded), argv

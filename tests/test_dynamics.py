@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import exactspin.dynamics
 from exactspin import (
     EigenbasisState,
     HalfInt,
@@ -13,6 +14,8 @@ from exactspin import (
     apply_hamiltonian,
     envelope_metric,
     evolve_observable,
+    evolve_series,
+    exact_spectrum,
     m_floats,
     paper_jz_series,
     revival_time,
@@ -255,3 +258,28 @@ def test_time_series_validation():
         TimeSeries(np.array([0.0, 1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         TimeSeries(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 6])
+def test_printed_formula_matches_its_verbatim_phase(monkeypatch, chunk_rows):
+    # the series use cos(phi - x) = cos(phi) cos(x) + sin(phi) sin(x), in time chunks
+    j = HalfInt(13)
+    if chunk_rows is not None:
+        monkeypatch.setattr(exactspin.dynamics, "SERIES_CHUNK_BYTES", 8 * 13 * chunk_rows)
+    p = ModelParams.quadratic(0.7, 0.03, theta=2.1, phi=1.1)
+    rng = np.random.default_rng(11)
+    c = rng.normal(size=14) + 1j * rng.normal(size=14)
+    state = EigenbasisState(c / np.linalg.norm(c))
+    times = np.linspace(0.0, 60.0, 101)
+    c = state.coeffs
+    m = m_floats(j)[1:]
+    weights = c[1:] * c[:-1] * (6.5 * 7.5 - m * (m - 1.0))
+    gaps = np.diff([pair.energy for pair in exact_spectrum(p, j)])
+    verbatim = -math.sin(2.1) * (np.cos(1.1 - np.outer(times, gaps)) @ weights.real)
+    series = paper_jz_series(p, j, state, times)
+    np.testing.assert_allclose(series.values, verbatim, rtol=0,
+                               atol=1e-12 * np.max(np.abs(verbatim)))
+    both = evolve_series(p, j, state, ("printed", "Jx"), times)
+    np.testing.assert_allclose(both[:, 0], series.values, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(both[:, 1], evolve_observable(p, j, state, "Jx", times).values,
+                               rtol=0, atol=1e-13)

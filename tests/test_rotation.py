@@ -194,3 +194,57 @@ def test_rotation_spectrum_invariance(twice_j):
     w_before, _ = brute_diagonalize(op)
     w_after, _ = brute_diagonalize(rotate_operator(u, op))
     np.testing.assert_allclose(w_before, w_after, atol=1e-9)
+
+
+BANDED_ROW_THETAS = (1e-9, 0.3, 1.5, math.pi / 2, 2.9, math.pi - 1e-7, math.pi,
+                     math.pi + 1e-7, 4.0, 6.2, -0.4)
+
+
+def _tridiagonal_residual(j, theta, k, v):
+    """||T v - m_k v|| for T = cos(theta) Jz + sin(theta) Jx, applied from its bands."""
+    m = np.arange(-j.twice, j.twice + 1, 2) / 2.0
+    jval = j.twice / 2.0
+    off = math.sin(theta) * np.sqrt(jval * (jval + 1.0) - m[:-1] * (m[:-1] + 1.0)) / 2.0
+    tv = math.cos(theta) * m * v
+    tv[:-1] += off * v[1:]
+    tv[1:] += off * v[:-1]
+    return np.linalg.norm(tv - m[k] * v)
+
+
+@pytest.mark.parametrize("twice_j", [0, 1, 2, 3, 8, 41])
+def test_banded_little_d_row_equals_every_signed_row(twice_j):
+    j = HalfInt(twice_j)
+    for k in range(twice_j + 1):
+        row = little_d_row(j, 0.0, k)
+        assert np.array_equal(row, np.eye(twice_j + 1)[k])
+    for theta in BANDED_ROW_THETAS:
+        d = little_d(j, theta)
+        for k in range(twice_j + 1):
+            np.testing.assert_allclose(little_d_row(j, theta, k), d[k], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("twice_j,ks", [(200, range(0, 201, 9)),
+                                        (2000, (0, 1, 2, 700, 1000, 1333, 1999, 2000))])
+def test_banded_little_d_row_matches_sampled_signed_rows(twice_j, ks):
+    j = HalfInt(twice_j)
+    thetas = BANDED_ROW_THETAS if twice_j == 200 else (0.3, math.pi, 6.2, -0.4)
+    for theta in thetas:
+        d = little_d(j, theta)
+        for k in ks:
+            np.testing.assert_allclose(little_d_row(j, theta, k), d[k], rtol=0, atol=1e-13)
+
+
+def test_banded_little_d_row_at_the_size_cap():
+    # twice_j 8191: no dense d to compare with, so the row is checked as an eigenvector
+    j = HalfInt(8191)
+    for theta in (0.3, 1.5, math.pi, 4.0):
+        for k in (0, 1, 2048, 4095, 4096, 8190, 8191):
+            v = little_d_row(j, theta, k)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-13)
+            assert _tridiagonal_residual(j, theta, k, v) <= 1e-12 * 8191 / 2
+
+
+def test_banded_little_d_row_rejects_bad_index():
+    for k in (-1, 6):
+        with pytest.raises(ValueError):
+            little_d_row(HalfInt(5), 0.7, k)
