@@ -21,10 +21,10 @@ import tempfile
 import numpy as np
 
 from .dynamics import EigenbasisState, evolve_series, to_eigenbasis
-from .model import ModelParams
+from .model import ModelParams, apply_hamiltonian, energy_values
 from .observables import dicke_distribution
 from .rotation import RotationAngles, little_d_row
-from .spectrum import exact_spectrum, ground_state, residual_norm
+from .spectrum import exact_spectrum, ground_state
 from .su2 import HalfInt, dicke_index, m_floats
 from .verify import build_report
 
@@ -39,10 +39,10 @@ EXIT_IO = 4
 # only num_points-long columns; this bound on num_points x dim x 8 bytes
 # predates the chunking and keeps its value because tests pin it
 EVOLVE_MAX_BYTES = 1 << 30
-# spectrum (the little-d matrix) and evolve from amplitudes: (the Jy
-# eigensystem) build dense dim x dim arrays, spectrum peaking near
-# 56 x dim^2 bytes; 64 x dim^2 must fit in 4 GiB, so twice_j <= 8191.  ground
-# and the other evolve paths are O(dim) but share the cap, which tests pin
+# spectrum and evolve from amplitudes: build the dense little-d matrix;
+# spectrum also takes its residuals on the dim x dim eigenvector block and
+# peaks near 64 x dim^2 bytes, which must fit in 4 GiB, so twice_j <= 8191.
+# ground and the other evolve paths are O(dim) but share the cap, which tests pin
 DENSE_MAX_BYTES = 1 << 32
 
 ALLOWED_KEYS = {
@@ -222,12 +222,14 @@ def _parse_initial(spec: str, params: ModelParams, j: HalfInt) -> EigenbasisStat
 def cmd_spectrum(config: dict, args) -> int:
     params, j = _build_model(config, args)
     path, fmt = _output_target(config, args, "spectrum.csv")
-    pairs = exact_spectrum(params, j)
-    _write_table(path, fmt, {
-        "m": [p.m.value for p in pairs],
-        "energy": [p.energy for p in pairs],
-        "residual": [residual_norm(params, j, p) for p in pairs],
-    })
+    energies = energy_values(params, j)
+    # every pair's ||H v - E v|| from one Horner product on the eigenvector block,
+    # which is the only dense copy of the vectors held
+    vecs = np.stack([p.vector for p in exact_spectrum(params, j)], axis=1)
+    hv = apply_hamiltonian(params, j, vecs)
+    hv -= vecs * energies
+    _write_table(path, fmt, {"m": m_floats(j), "energy": energies,
+                             "residual": np.linalg.norm(hv, axis=0)})
     return EXIT_OK
 
 

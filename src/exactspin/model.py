@@ -92,13 +92,17 @@ def model_hamiltonian(params: ModelParams, j) -> np.ndarray:
 def apply_hamiltonian(params: ModelParams, j, vec: np.ndarray) -> np.ndarray:
     """Matrix-free H @ vec by Horner's rule in T = U† Jz U = cos(theta) Jz + sin(theta) Jx.
 
-    T is real symmetric tridiagonal and independent of phi, so this is O(order * dim)."""
+    T is real symmetric tridiagonal and independent of phi, so this is O(order * dim)
+    per vector.  vec is one state of shape (dim,) or a block of states as the
+    columns of a (dim, n) array."""
     j = _check_j(j)
     vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (j.twice + 1,):
-        raise ValueError(f"state has shape {vec.shape}, expected ({j.twice + 1},)")
-    diag = math.cos(params.angles.theta) * m_floats(j)
-    off = math.sin(params.angles.theta) * _ladder_coeffs_ascending(j) / 2.0
+    if vec.ndim not in (1, 2) or vec.shape[0] != j.twice + 1:
+        raise ValueError(f"state has shape {vec.shape}, expected ({j.twice + 1},) "
+                         f"or ({j.twice + 1}, n)")
+    column = (-1,) + (1,) * (vec.ndim - 1)
+    diag = (math.cos(params.angles.theta) * m_floats(j)).reshape(column)
+    off = (math.sin(params.angles.theta) * _ladder_coeffs_ascending(j) / 2.0).reshape(column)
     w = params.coeffs[-1] * vec
     for a in reversed(params.coeffs[:-1]):
         tw = diag * w

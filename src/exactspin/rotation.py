@@ -4,30 +4,19 @@ Sign convention: the generator exponent is +i*theta*Jy throughout, which
 is the opposite of the common Wigner convention; the two are related by
 d_here(theta) = d_textbook(-theta).
 
-The full little-d matrix is computed by diagonalizing Jy exactly once per
-dimension: the similarity transform S = diag(i^k) maps i*Jy to -i*T with
-T real symmetric tridiagonal (zero diagonal, off-diagonal equal to half
-the ladder coefficients), so
-
-    exp(i*theta*Jy) = S Q exp(-i*theta*L) Q^T S^dagger
-
-with T = Q L Q^T.  This stays orthogonal to ~1e-13 at dimension 2001,
-where naive power series or repeated squaring lose accuracy.  The
-(Q, L) eigensystem is cached per dimension and reused for every theta,
-which also gives O(dim^2) application of U to a single vector.
-
-A single row of little-d needs none of this: row k is the eigenvector of
-the tridiagonal cos(theta)*Jz + sin(theta)*Jx for its exactly known
-eigenvalue m_k, found in O(dim) by a twisted factorization (see
-little_d_row).  Only little_d, rotation_matrix and apply_rotation load
-scipy.
+Every row of little-d comes from one engine, _d_rows, with no
+eigensystem and no matrix exponential.  Row k is the eigenvector of the
+real symmetric tridiagonal cos(theta)*Jz + sin(theta)*Jx (= U† Jz U) for
+its exactly known eigenvalue m_k, found in O(dim) by a twisted
+factorization; its sign comes from a closed form for the row's last
+entry.  The rows come out unit norm and orthogonal to ~4e-14 at dimension
+2001.  U = diag(e^{i*phi*m}) @ little_d is applied to a vector through d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,38 +50,6 @@ class RotationAngles:
             object.__setattr__(self, name, val % TWO_PI)
 
 
-@lru_cache(maxsize=6)
-def _jy_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthogonal eigenvectors of the real tridiagonal T ~ Jy."""
-    # imported here: scipy.linalg takes ~0.4 s to load, and ground and dicke: evolve never need it
-    from scipy.linalg import eigh_tridiagonal
-
-    off = _ladder_coeffs_ascending(HalfInt(twice_j)) / 2.0
-    lam, q = eigh_tridiagonal(np.zeros(twice_j + 1), off)
-    # shared by every caller through the cache, so never handed out writable
-    lam.setflags(write=False)
-    q.setflags(write=False)
-    return lam, q
-
-
-def _i_powers(dim: int) -> np.ndarray:
-    # i^k cycles with period 4; computed exactly
-    table = np.array([1.0, 1.0j, -1.0, -1.0j])
-    return table[np.arange(dim) % 4]
-
-
-def little_d(j, theta: float) -> np.ndarray:
-    """Real orthogonal matrix of exp(i*theta*Jy) in the ascending-m basis."""
-    j = _check_j(j)
-    if theta == 0.0:
-        return np.eye(j.twice + 1)
-    lam, q = _jy_eigensystem(j.twice)
-    phase = np.exp(-1j * float(theta) * lam)
-    core = (q * phase) @ q.T
-    s = _i_powers(j.twice + 1)
-    return ((s[:, None] * core) * s.conj()[None, :]).real
-
-
 def _pivots(diag: list, off2: list, pivmin: float) -> list:
     """Pivots D_i = a_i - b_{i-1}^2 / D_{i-1} of a tridiagonal's LDL^T factorization."""
     out = []
@@ -105,47 +62,85 @@ def _pivots(diag: list, off2: list, pivmin: float) -> list:
     return out
 
 
-def little_d_row(j, theta: float, k: int) -> np.ndarray:
-    """Row k of little_d(j, theta), in O(dim) with no eigensystem and no scipy.
+def _d_rows(j: HalfInt, theta: float, ks: np.ndarray) -> np.ndarray:
+    """Rows ks of little_d(j, theta), one per row of the result, unit norm.
 
-    The row is the eigenvector of the real symmetric tridiagonal
+    Row k is the eigenvector of the real symmetric tridiagonal
     T = cos(theta)*Jz + sin(theta)*Jx (diagonal cos(theta)*m, off-diagonal
     sin(theta)*c/2, as in model.apply_hamiltonian) for its exact
     eigenvalue m_k.  A twisted factorization of T - m_k*I (the step behind
     LAPACK's MRRR; Dhillon & Parlett, Linear Algebra Appl. 387 (2004) 1-28)
     gives it: forward and backward pivots, the twist r = argmin |gamma_r|,
-    v_r = 1 and v propagated outwards through the pivot ratios.
+    v_r = 1 and v propagated outwards through the pivot ratios.  All
+    requested rows run together, each step of the pivot recurrence one
+    array operation across rows; a single row runs the recurrence on
+    Python floats instead, because for one row the per-step numpy calls
+    cost ~5x the arithmetic (8 ms against 1.5 ms at dim 2001, where ground
+    and dicke: need one row each).  Both give the same bits.
 
-    The sign matches little_d: the last entry must have the sign of
+    The sign matches exp(i*theta*Jy): the last entry must have the sign of
     d[k, -1] = sqrt(C(2j, k)) cos(theta/2)^k (-sin(theta/2))^(2j-k).  The
     sign of the computed last entry is carried as the product of the ratio
     signs, so it survives when that entry underflows.
     """
+    dim = j.twice + 1
+    n = len(ks)
+    off = math.sin(theta) / 2.0 * _ladder_coeffs_ascending(j)
+    # theta = 0, or so small that sin(theta)/2 underflows: T is diagonal and d = I
+    if not off.any():
+        return np.eye(dim)[ks]
+    cm = math.cos(theta) * m_floats(j)
+    mk = ks - j.twice / 2.0
+    off2 = off * off
+    # a zero pivot becomes -pivmin (as in LAPACK's dlar1v), so every b^2/pivot stays finite
+    pivmin = np.finfo(float).tiny * max([1.0, *off2.tolist()])
+    if n == 1:
+        diag = (cm - mk[0]).tolist()
+        fwd = np.array(_pivots(diag, off2.tolist(), pivmin))[:, None]
+        bwd = np.array(_pivots(diag[::-1], off2[::-1].tolist(), pivmin)[::-1])[:, None]
+    else:
+        # forward pivots at step s pair with backward pivots at dim-1-s in one pass,
+        # overwriting the stacked diagonals.  m and the ladder coefficients are exactly
+        # symmetric about the middle, so cos(theta)*m at dim-1-s is -cm[s] and both share b^2
+        both = np.stack((cm, -cm), axis=1)[:, :, None] - mk
+        piv = np.ones((2, n))
+        for step, b2 in zip(both, [0.0, *off2.tolist()]):
+            ratio = b2 / piv
+            piv = step
+            piv -= ratio
+            piv[np.abs(piv) < pivmin] = -pivmin
+        fwd, bwd = both[:, 0], both[::-1, 1]
+    r = np.argmin(np.abs(fwd + bwd - (cm[:, None] - mk)), axis=0)
+    # v_i = -(b_i / D+_i) v_{i+1} left of the twist, v_i = -(b_{i-1} / D-_i) v_{i-1} right
+    # of it; ratios on the far side of each row's twist are 1 in the products
+    index = np.arange(dim - 1)[:, None]
+    v = np.ones((dim, n))
+    v[:-1] = np.cumprod(np.where(index < r, -off[:, None] / fwd[:-1], 1.0)[::-1], axis=0)[::-1]
+    right = np.where(index >= r, -off[:, None] / bwd[1:], 1.0)
+    v[1:] *= np.cumprod(right, axis=0)
+    last_sign = np.prod(np.sign(right), axis=0)
+    want = (math.copysign(1.0, -math.sin(theta / 2.0)) ** (j.twice - ks)
+            * math.copysign(1.0, math.cos(theta / 2.0)) ** ks)
+    rows = np.ascontiguousarray(v.T)
+    # one dot per row, as np.linalg.norm takes it, so a row's bits do not depend on n
+    norms = np.sqrt([row @ row for row in rows])
+    rows *= (want * last_sign / norms)[:, None]
+    return rows
+
+
+def little_d(j, theta: float) -> np.ndarray:
+    """Real orthogonal matrix of exp(i*theta*Jy) in the ascending-m basis."""
+    j = _check_j(j)
+    return _d_rows(j, float(theta), np.arange(j.twice + 1))
+
+
+def little_d_row(j, theta: float, k: int) -> np.ndarray:
+    """Row k of little_d(j, theta), in O(dim)."""
     j = _check_j(j)
     dim = j.twice + 1
     if not 0 <= k < dim:
         raise ValueError(f"row index {k} outside 0..{dim - 1}")
-    row = np.zeros(dim)
-    if theta == 0.0:
-        row[k] = 1.0
-        return row
-    diag = math.cos(theta) * m_floats(j) - (k - j.twice / 2.0)
-    off = math.sin(theta) / 2.0 * _ladder_coeffs_ascending(j)
-    off2 = (off * off).tolist()
-    # a zero pivot becomes -pivmin (as in LAPACK's dlar1v), so every b^2/pivot stays finite
-    pivmin = np.finfo(float).tiny * max([1.0, *off2])
-    fwd = np.array(_pivots(diag.tolist(), off2, pivmin))
-    bwd = np.array(_pivots(diag[::-1].tolist(), off2[::-1], pivmin)[::-1])
-    r = int(np.argmin(np.abs(fwd + bwd - diag)))
-    # v_i = -(b_i / D+_i) v_{i+1} left of the twist, v_i = -(b_{i-1} / D-_i) v_{i-1} right of it
-    row[r] = 1.0
-    row[:r] = np.cumprod((-off[:r] / fwd[:r])[::-1])[::-1]
-    right = -off[r:] / bwd[r + 1:]
-    row[r + 1:] = np.cumprod(right)
-    last_sign = float(np.prod(np.sign(right)))
-    want = (math.copysign(1.0, -math.sin(theta / 2.0)) ** (j.twice - k)
-            * math.copysign(1.0, math.cos(theta / 2.0)) ** k)
-    return row * (want * last_sign / np.linalg.norm(row))
+    return _d_rows(j, float(theta), np.array([k]))[0]
 
 
 def rotation_matrix(j, angles: RotationAngles) -> np.ndarray:
@@ -157,25 +152,16 @@ def rotation_matrix(j, angles: RotationAngles) -> np.ndarray:
 
 
 def apply_rotation(j, angles: RotationAngles, vec: np.ndarray, dagger: bool = False) -> np.ndarray:
-    """Apply U (or U† with dagger=True) to a state vector in O(dim^2)."""
+    """Apply U = e^{i*phi*m} d, or U† = d^T e^{-i*phi*m} with dagger=True, to a state vector."""
     j = _check_j(j)
-    dim = j.twice + 1
     vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (dim,):
-        raise ValueError(f"state has shape {vec.shape}, expected ({dim},)")
-    zphase = np.exp(1j * angles.phi * m_floats(j)) if angles.phi != 0.0 else None
-    if angles.theta == 0.0:
-        if zphase is None:
-            return vec.copy()
-        return zphase.conj() * vec if dagger else zphase * vec
-    lam, q = _jy_eigensystem(j.twice)
-    s = _i_powers(dim)
+    if vec.shape != (j.twice + 1,):
+        raise ValueError(f"state has shape {vec.shape}, expected ({j.twice + 1},)")
+    zphase = np.exp(1j * angles.phi * m_floats(j))
+    d = little_d(j, angles.theta)
     if dagger:
-        # U† = d.T @ diag(e^{-i phi m}); d real and d.T = S conj(Q e^{-i theta L} Q^T) S†
-        w = zphase.conj() * vec if zphase is not None else vec
-        return q @ (np.exp(+1j * angles.theta * lam) * (q.T @ (s.conj() * w))) * s
-    w = q @ (np.exp(-1j * angles.theta * lam) * (q.T @ (s.conj() * vec))) * s
-    return zphase * w if zphase is not None else w
+        return d.T @ (zphase.conj() * vec)
+    return zphase * (d @ vec)
 
 
 def rotated_basis_state(j, angles: RotationAngles, m) -> np.ndarray:
@@ -184,9 +170,7 @@ def rotated_basis_state(j, angles: RotationAngles, m) -> np.ndarray:
     k = dicke_index(j, m)
     m = as_halfint(m)
     # column m of U† = e^{-i phi m} * (row k of d), d real
-    row = little_d_row(j, angles.theta, k)
-    vec = row.astype(complex) * np.exp(-1j * angles.phi * m.value)
-    return vec / np.linalg.norm(vec)
+    return little_d_row(j, angles.theta, k) * np.exp(-1j * angles.phi * m.value)
 
 
 def rotate_operator(u: np.ndarray, op: np.ndarray) -> np.ndarray:

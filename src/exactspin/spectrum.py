@@ -49,10 +49,9 @@ def exact_spectrum(params: ModelParams, j) -> list[EigenPair]:
     """All 2j+1 closed-form eigenpairs, ascending m.  No diagonalization."""
     j = _check_j(j)
     energies = energy_values(params, j)
-    # row k of little_d times e^{-i phi m_k} is U†|j,m_k>, as in rotated_basis_state
+    # row k of little_d (unit norm) times e^{-i phi m_k} is U†|j,m_k>, as in rotated_basis_state
     phases = np.exp(-1j * params.angles.phi * m_floats(j))
     vecs = little_d(j, params.angles.theta) * phases[:, None]
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return [EigenPair(m=HalfInt(twice_m), energy=float(e), vector=v)
             for twice_m, e, v in zip(range(-j.twice, j.twice + 1, 2), energies, vecs)]
 

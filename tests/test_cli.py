@@ -14,7 +14,8 @@ import exactspin.verify
 from exactspin.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, _parse_initial, main
 from exactspin.dynamics import evolve_observable, paper_jz_series, to_eigenbasis
 from exactspin.model import ModelParams
-from exactspin.rotation import rotated_basis_state
+from exactspin.rotation import RotationAngles, rotated_basis_state
+from exactspin.spectrum import exact_spectrum, residual_norm
 from exactspin.su2 import HalfInt, dicke_index
 
 
@@ -407,14 +408,20 @@ def test_non_finite_table_values_are_refused(tmp_path, capsys):
 
 
 def test_ground_and_evolve_never_load_scipy_linalg(tmp_path):
-    # scipy.linalg is imported lazily by the dense Jy eigensystem only
+    # the library imports no scipy: no command loads scipy.linalg
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(os.path.abspath(exactspin.verify.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    amplitudes = tmp_path / "amplitudes.ini"
+    amplitudes.write_text("[model]\ntwice_j = 3\ncoeffs = 0,1,0.1\ntheta = 0.4\nphi = 0.2\n\n"
+                          "[evolve]\nt_max = 5\nnum_points = 11\n"
+                          "initial = amplitudes:0.5,0.5j,-0.5,0.5\n")
     runs = {"": False,
             "ground --config recipes/fig1a.ini": False,
             "evolve --config recipes/fig2.ini": False,
-            "spectrum --j 20 --A 0,1,0.1 --theta 0.4": True}
+            f"evolve --config {amplitudes}": False,
+            "spectrum --j 20 --A 0,1,0.1 --theta 0.4": False,
+            "verify": False}
     for argv, loaded in runs.items():
         out = tmp_path / "out.csv"
         code = ("import sys, exactspin, exactspin.cli\n"
@@ -425,3 +432,16 @@ def test_ground_and_evolve_never_load_scipy_linalg(tmp_path):
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == str(loaded), argv
+
+
+@pytest.mark.parametrize("twice_j", [7, 45])
+def test_spectrum_block_residuals_match_per_pair_certificates(tmp_path, twice_j):
+    out = tmp_path / "s.json"
+    argv = ["spectrum", f"--j={twice_j}", "--A=0.3,1,-0.2,0.05", "--theta=1.2", "--phi=0.7"]
+    assert main([*argv, "--format", "json", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    params = ModelParams(order=3, coeffs=(0.3, 1.0, -0.2, 0.05), angles=RotationAngles(1.2, 0.7))
+    pairs = exact_spectrum(params, HalfInt(twice_j))
+    ref = [residual_norm(params, HalfInt(twice_j), p) for p in pairs]
+    scale = max(1.0, max(abs(p.energy) for p in pairs))
+    np.testing.assert_allclose(doc["residual"], ref, rtol=0, atol=1e-13 * scale)

@@ -311,3 +311,17 @@ def test_rate_relation_domain_errors():
         rate_relation(ModelParams.quadratic(0.0, 0.5, theta=1.0))
     with pytest.raises(ValueError):
         rate_relation(ModelParams(order=1, coeffs=(0, 1.0), angles=RotationAngles(1.0)))
+
+
+def test_apply_hamiltonian_on_a_block_is_columnwise():
+    p = ModelParams(order=3, coeffs=(0.2, -1.0, 0.4, 0.05), angles=RotationAngles(0.9, 1.7))
+    j = HalfInt(16)
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(17, 4)) + 1j * rng.normal(size=(17, 4))
+    hv = apply_hamiltonian(p, j, block)
+    assert hv.shape == (17, 4)
+    for col in range(4):
+        assert np.array_equal(hv[:, col], apply_hamiltonian(p, j, block[:, col]))
+    for bad in (np.ones((16, 4)), np.ones((4, 17)), np.ones((17, 2, 2))):
+        with pytest.raises(ValueError):
+            apply_hamiltonian(p, j, bad)

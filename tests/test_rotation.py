@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +19,7 @@ from exactspin import (
     rotated_basis_state,
     rotation_matrix,
 )
+from exactspin.su2 import _ladder_coeffs_ascending, m_floats
 from exactspin.verify import series_expm
 
 
@@ -248,3 +250,108 @@ def test_banded_little_d_row_rejects_bad_index():
     for k in (-1, 6):
         with pytest.raises(ValueError):
             little_d_row(HalfInt(5), 0.7, k)
+
+
+def wigner_d_entry(twice_j, k, c, theta):
+    """little_d(j, theta)[k, c] by Wigner's explicit sum in mpmath; shares no code with rotation.
+
+    Here d(theta) = d_textbook(-theta), and with 2j = twice_j, j + m' = k and j + m = c
+    d^j_{m'm}(beta) = sum_s (-1)^(m'-m+s) sqrt((j+m')! (j-m')! (j+m)! (j-m)!)
+        / ((j+m-s)! s! (m'-m+s)! (j-m'-s)!) cos(beta/2)^(2j+m-m'-2s) sin(beta/2)^(m'-m+2s).
+    The terms reach ~2^(2j) before they cancel, so the working precision grows
+    with j.  Each term is the previous one times a ratio of small integers and
+    -tan(beta/2)^2, which keeps a 700-digit entry at twice_j 2000 cheap.
+    """
+    fact = [1]
+    for i in range(1, twice_j + 1):
+        fact.append(fact[-1] * i)
+    with mpmath.workdps(50 + twice_j // 3):
+        half = -mpmath.mpf(theta) / 2
+        cos_h, sin_h = mpmath.cos(half), mpmath.sin(half)
+        first, last = max(0, c - k), min(c, twice_j - k)
+        term = (cos_h ** (twice_j + c - k - 2 * first) * sin_h ** (k - c + 2 * first)
+                / (fact[c - first] * fact[first] * fact[k - c + first] * fact[twice_j - k - first]))
+        term = -term if (k - c + first) % 2 else term
+        tan2 = (sin_h / cos_h) ** 2
+        total = mpmath.mpf(0)
+        for s in range(first, last + 1):
+            total += term
+            term *= -tan2 * ((c - s) * (twice_j - k - s)) / ((s + 1) * (k - c + s + 1))
+        pre = mpmath.sqrt(fact[k] * fact[twice_j - k] * fact[c] * fact[twice_j - c])
+        return float(pre * total)
+
+
+@pytest.mark.parametrize("theta", [0.6, -1.3, math.pi, 4.0])
+def test_wigner_reference_matches_spin_half_and_one_closed_forms(theta):
+    ch, sh = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    c, s = math.cos(theta), math.sin(theta)
+    r = math.sqrt(2.0)
+    closed = {1: [[ch, -sh], [sh, ch]],
+              2: [[(1 + c) / 2, -s / r, (1 - c) / 2],
+                  [s / r, c, -s / r],
+                  [(1 - c) / 2, s / r, (1 + c) / 2]]}
+    for twice_j, ref in closed.items():
+        ref_wigner = [[wigner_d_entry(twice_j, k, col, theta) for col in range(twice_j + 1)]
+                      for k in range(twice_j + 1)]
+        np.testing.assert_allclose(ref_wigner, ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(little_d(HalfInt(twice_j), theta), ref, rtol=0, atol=1e-15)
+
+
+def _sampled_entries(d, ks, rng):
+    """For each row k: the largest entry, a neighbour of it and one random column."""
+    last = d.shape[1] - 1
+    for k in ks:
+        peak = int(np.argmax(np.abs(d[k])))
+        yield from ((k, peak), (k, min(peak + 3, last)), (k, int(rng.integers(0, last + 1))))
+
+
+@pytest.mark.parametrize("twice_j,ks,thetas", [
+    (200, range(0, 201, 25), BANDED_ROW_THETAS),
+    (2000, (1, 1000, 1999), (0.3, math.pi, 6.2, -0.4)),
+])
+def test_little_d_matches_wigner_sum(twice_j, ks, thetas):
+    # 9 entries per theta; at twice_j 2000 each is a 716-digit sum
+    rng = np.random.default_rng(twice_j)
+    for theta in thetas:
+        d = little_d(HalfInt(twice_j), theta)
+        for k, col in _sampled_entries(d, ks, rng):
+            ref = wigner_d_entry(twice_j, k, col, theta)
+            assert abs(d[k, col] - ref) <= 1e-13, (theta, k, col, d[k, col], ref)
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.9, 6.2])
+def test_little_d_rows_are_accurate_eigenvectors_at_twice_j_2000(theta):
+    # every row: ||T d_k - m_k d_k|| and D D^T = I to 1e-12 (the Jy-eigensystem route
+    # this engine replaced reached row residuals of 1.9e-10 here)
+    j = HalfInt(2000)
+    d = little_d(j, theta)
+    m = m_floats(j)
+    off = math.sin(theta) * _ladder_coeffs_ascending(j) / 2.0
+    td = math.cos(theta) * m * d
+    td[:, :-1] += off * d[:, 1:]
+    td[:, 1:] += off * d[:, :-1]
+    assert np.max(np.linalg.norm(td - m[:, None] * d, axis=1)) <= 1e-12
+    assert np.max(np.abs(d @ d.T - np.eye(2001))) <= 1e-12
+
+
+@pytest.mark.parametrize("twice_j", [1, 2, 7, 40, 201])
+def test_one_row_and_all_rows_give_the_same_bits(twice_j):
+    # one row runs the pivot recurrence on Python floats, several rows as array steps
+    # (at theta = pi the first pivot of row 2j is exactly zero, so the pivmin rule runs)
+    j = HalfInt(twice_j)
+    for theta in (1e-9, 0.3, math.pi / 2, math.pi, 4.0, -0.4):
+        d = little_d(j, theta)
+        for k in range(twice_j + 1):
+            assert np.array_equal(little_d_row(j, theta, k), d[k]), (theta, k)
+
+
+@pytest.mark.parametrize("theta", [5e-324, -5e-324, 1e-320])
+def test_subnormal_theta_gives_the_identity_rows(theta):
+    # sin(theta)/2 underflows to zero at the smallest angles; d is then exactly I
+    # there, and within 1e-300 of it just above
+    for twice_j in (0, 1, 4, 9):
+        eye = np.eye(twice_j + 1)
+        np.testing.assert_allclose(little_d(HalfInt(twice_j), theta), eye, rtol=0, atol=1e-300)
+        for k in range(twice_j + 1):
+            np.testing.assert_allclose(little_d_row(HalfInt(twice_j), theta, k), eye[k],
+                                       rtol=0, atol=1e-300)
