@@ -23,8 +23,8 @@ import numpy as np
 from .dynamics import EigenbasisState, evolve_series, to_eigenbasis
 from .model import ModelParams, apply_hamiltonian, energy_values
 from .observables import dicke_distribution
-from .rotation import RotationAngles, little_d_row
-from .spectrum import exact_spectrum, ground_state
+from .rotation import RotationAngles, little_d, little_d_row
+from .spectrum import ground_state
 from .su2 import HalfInt, dicke_index, m_floats
 from .verify import build_report
 
@@ -39,10 +39,10 @@ EXIT_IO = 4
 # only num_points-long columns; this bound on num_points x dim x 8 bytes
 # predates the chunking and keeps its value because tests pin it
 EVOLVE_MAX_BYTES = 1 << 30
-# spectrum and evolve from amplitudes: build the dense little-d matrix;
-# spectrum also takes its residuals on the dim x dim eigenvector block and
-# peaks near 64 x dim^2 bytes, which must fit in 4 GiB, so twice_j <= 8191.
-# ground and the other evolve paths are O(dim) but share the cap, which tests pin
+# spectrum and evolve from amplitudes build the dense little-d matrix, and spectrum
+# peaks near 41 x dim^2 bytes.  The 64 x (twice_j + 1)^2 bound, its byte-budget
+# message and the twice_j <= 8191 cap stay only because tests pin them; ground and
+# the other evolve paths are O(dim) but share the cap
 DENSE_MAX_BYTES = 1 << 32
 
 ALLOWED_KEYS = {
@@ -223,9 +223,9 @@ def cmd_spectrum(config: dict, args) -> int:
     params, j = _build_model(config, args)
     path, fmt = _output_target(config, args, "spectrum.csv")
     energies = energy_values(params, j)
-    # every pair's ||H v - E v|| from one Horner product on the eigenvector block,
-    # which is the only dense copy of the vectors held
-    vecs = np.stack([p.vector for p in exact_spectrum(params, j)], axis=1)
+    # eigenvector k is row k of d times e^{-i phi m_k}; that phase has modulus one and
+    # drops out of ||H v - E v||, so one real Horner product on d^T gives every residual
+    vecs = little_d(j, params.angles.theta).T
     hv = apply_hamiltonian(params, j, vecs)
     hv -= vecs * energies
     _write_table(path, fmt, {"m": m_floats(j), "energy": energies,

@@ -94,9 +94,10 @@ def apply_hamiltonian(params: ModelParams, j, vec: np.ndarray) -> np.ndarray:
 
     T is real symmetric tridiagonal and independent of phi, so this is O(order * dim)
     per vector.  vec is one state of shape (dim,) or a block of states as the
-    columns of a (dim, n) array."""
+    columns of a (dim, n) array.  Every multiplier is real, so a real input
+    gives a real result, bitwise the real part of the same input made complex."""
     j = _check_j(j)
-    vec = np.asarray(vec, dtype=complex)
+    vec = np.asarray(vec)
     if vec.ndim not in (1, 2) or vec.shape[0] != j.twice + 1:
         raise ValueError(f"state has shape {vec.shape}, expected ({j.twice + 1},) "
                          f"or ({j.twice + 1}, n)")
@@ -148,15 +149,9 @@ class PaperH2(NamedTuple):
     max_abs_diff: float
 
 
-def paper_literal_h2(params: ModelParams, j) -> PaperH2:
-    """The quadratic model's printed ladder-operator expansion, as printed.
-
-    Built term by term with no factor corrections (in particular no 1/2
-    on the transverse terms), plus the constant coeffs[0].  Returns the
-    matrix together with the elementwise max difference from the
-    rotated-diagonal model_hamiltonian; the difference is a measurement,
-    not an error.
-    """
+def _printed_h2(params: ModelParams, j) -> np.ndarray:
+    """The printed ladder-operator expansion as a matrix, built term by term with no
+    factor corrections (in particular no 1/2 on the transverse terms), plus coeffs[0]."""
     if params.order != 2:
         raise ValueError(f"printed expansion is defined for order 2, got {params.order}")
     j = _check_j(j)
@@ -176,9 +171,18 @@ def paper_literal_h2(params: ModelParams, j) -> PaperH2:
         + st**2 * (e**2 * (jp @ jp) + e.conjugate() ** 2 * (jm @ jm) + jp @ jm + jm @ jp)
         + ct * st * (cross + cross.conj().T)
     )
-    h = h + a0 * np.eye(j.twice + 1)
-    diff = float(np.max(np.abs(h - model_hamiltonian(params, j))))
-    return PaperH2(h, diff)
+    return h + a0 * np.eye(j.twice + 1)
+
+
+def paper_literal_h2(params: ModelParams, j) -> PaperH2:
+    """The quadratic model's printed ladder-operator expansion, as printed.
+
+    Returns the matrix of _printed_h2 together with the elementwise max
+    difference from the rotated-diagonal model_hamiltonian; the difference
+    is a measurement, not an error.
+    """
+    h = _printed_h2(params, j)
+    return PaperH2(h, float(np.max(np.abs(h - model_hamiltonian(params, j)))))
 
 
 @dataclass(frozen=True)

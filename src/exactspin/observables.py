@@ -57,22 +57,8 @@ def count_peaks(dist: PopulationDistribution, floor: float = 0.05) -> int:
     if not (0.0 <= floor < 1.0):
         raise ValueError(f"floor must be in [0, 1), got {floor}")
     p = dist.probs
-    n = p.size
-    if n < 3:
-        return 0
-    threshold = floor * float(np.max(p))
-    count = 0
-    i = 1
-    while i < n - 1:
-        if p[i] > p[i - 1] and p[i] >= threshold:
-            end = i
-            while end + 1 < n and p[end + 1] == p[i]:
-                end += 1
-            if end < n - 1 and p[end + 1] < p[i]:
-                count += 1
-                i = end + 1
-                continue
-            i = end + 1
-            continue
-        i += 1
-    return count
+    # collapse each plateau to one entry; a peak is then a strict interior maximum
+    q = p[np.concatenate(([True], p[1:] != p[:-1]))]
+    mid = q[1:-1]
+    peaks = (mid > q[:-2]) & (mid > q[2:]) & (mid >= floor * float(np.max(p)))
+    return int(np.count_nonzero(peaks))

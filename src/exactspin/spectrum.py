@@ -15,6 +15,7 @@ rational arithmetic so degeneracy flags do not depend on float rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +35,8 @@ __all__ = [
 ]
 
 ORACLE_MAX_DIM = 201
+JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -79,15 +82,16 @@ def _scan_minimum(params: ModelParams, j: HalfInt) -> tuple[int, bool]:
     Float evaluation locates candidates; the winner and the degeneracy
     flag are decided by exact rational comparison among every m whose
     float energy sits within the evaluation error bound of the float
-    minimum.  Ties go to the lower m.
+    minimum; when that window is not finite (an overflowing energy), among
+    every m.  Ties go to the lower m.
     """
     energies = energy_values(params, j)
     twice_grid = np.arange(-j.twice, j.twice + 1, 2)
     jmag = max(1.0, j.twice / 2.0)
     scale = sum(abs(a) * jmag**i for i, a in enumerate(params.coeffs))
     window = 64.0 * np.finfo(float).eps * max(scale, 1.0) * (params.order + 1)
-    emin = float(np.min(energies))
-    candidates = twice_grid[energies <= emin + window]
+    bound = float(np.min(energies)) + window
+    candidates = twice_grid[energies <= bound] if math.isfinite(bound) else twice_grid
     best_t = None
     best_e = None
     hits = 0
@@ -150,7 +154,11 @@ def ground_state(params: ModelParams, j) -> GroundStateResult:
     else:
         method = "scan"
     m0 = HalfInt(scan_t)
-    energy = float(_exact_energy(params, scan_t))
+    exact = _exact_energy(params, scan_t)
+    try:
+        energy = float(exact)
+    except OverflowError:  # an exact energy beyond float range maps to +-inf by its sign
+        energy = math.inf if exact > 0 else -math.inf
     vec = rotated_basis_state(j, params.angles, m0)
     pair = EigenPair(m=m0, energy=energy, vector=vec)
     return GroundStateResult(pair=pair, m0=m0, degenerate=scan_deg, method=method)
@@ -182,14 +190,13 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def brute_diagonalize(h: np.ndarray, tol: float = 1e-14,
-                      max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def brute_diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parallel-ordered (Brent–Luk) Jacobi with inner rotations (independent oracle).
 
     Each sweep runs the round-robin ordering: every round annihilates n/2
     disjoint off-diagonal pairs at once with commuting complex Givens
     rotations, applied as array operations, until the off-diagonal
-    Frobenius norm falls below tol * scale.  Rotations are inner (|angle|
+    Frobenius norm falls below JACOBI_TOL * scale.  Rotations are inner (|angle|
     <= pi/4): under this ordering outer ones about double the sweep count.
     Returns (eigenvalues ascending, eigenvector columns).
     Deliberately self-contained: no LAPACK, no reuse of the closed form.
@@ -208,9 +215,9 @@ def brute_diagonalize(h: np.ndarray, tol: float = 1e-14,
     scale = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
     # quadratic convergence makes the exit off-norm far below this bound;
     # eps*n guards against stalling at the rounding floor of large matrices
-    stop = scale * max(tol, np.finfo(float).eps * n)
+    stop = scale * max(JACOBI_TOL, np.finfo(float).eps * n)
     rounds = _round_robin(n)
-    for sweep in range(max_sweeps):
+    for sweep in range(JACOBI_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
         if off <= stop:
             break

@@ -407,6 +407,28 @@ def test_non_finite_table_values_are_refused(tmp_path, capsys):
     assert len(doc["energy"]) == 5
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("twice_j,coeffs", [(400, "0,1,-1e308"), (40, "0,1,0,-1e308")])
+def test_ground_with_overflowing_energies_is_refused(tmp_path, capsys, twice_j, coeffs):
+    out = tmp_path / "g.csv"
+    code = main(["ground", f"--j={twice_j}", f"--A={coeffs}", "--theta=1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert os.listdir(tmp_path) == []
+    err = capsys.readouterr().err
+    assert "'energy'" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_ground_with_finite_extreme_coefficients_still_runs(tmp_path):
+    out = tmp_path / "g.json"
+    assert main(["ground", "--j", "4", "--A", "0,1e308,1e308", "--theta", "1",
+                 "--format", "json", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["m0"] == -1.0 and doc["degenerate"] is True
+
+
 def test_ground_and_evolve_never_load_scipy_linalg(tmp_path):
     # the library imports no scipy: no command loads scipy.linalg
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -325,3 +325,16 @@ def test_apply_hamiltonian_on_a_block_is_columnwise():
     for bad in (np.ones((16, 4)), np.ones((4, 17)), np.ones((17, 2, 2))):
         with pytest.raises(ValueError):
             apply_hamiltonian(p, j, bad)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_apply_hamiltonian_real_input_stays_real(order):
+    # every multiplier is real, so the real path is the real part of the complex one
+    coeffs = (0.3, -1.1, 0.4, 0.07, -0.02)[:order + 1]
+    p = ModelParams(order=order, coeffs=coeffs, angles=RotationAngles(1.3, 0.6))
+    j = HalfInt(21)
+    rng = np.random.default_rng(order)
+    for real in (rng.normal(size=22), rng.normal(size=(22, 5))):
+        hv = apply_hamiltonian(p, j, real)
+        assert hv.dtype == np.float64 and hv.shape == real.shape
+        assert np.array_equal(hv, apply_hamiltonian(p, j, real.astype(complex)).real)

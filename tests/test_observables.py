@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactspin import (
     HalfInt,
@@ -128,3 +130,37 @@ def test_half_integer_grid_supported():
     assert dist.probs.size == 62
     assert abs(float(np.sum(dist.probs)) - 1.0) <= 1e-10
     assert count_peaks(dist, floor=0.05) == 2
+
+
+def _count_peaks_loop(p, floor):
+    """Reference: the plateau-walking loop that count_peaks replaced."""
+    n = p.size
+    if n < 3:
+        return 0
+    threshold = floor * float(np.max(p))
+    count = 0
+    i = 1
+    while i < n - 1:
+        if p[i] > p[i - 1] and p[i] >= threshold:
+            end = i
+            while end + 1 < n and p[end + 1] == p[i]:
+                end += 1
+            if end < n - 1 and p[end + 1] < p[i]:
+                count += 1
+                i = end + 1
+                continue
+            i = end + 1
+            continue
+        i += 1
+    return count
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=14).filter(any),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_count_peaks_matches_reference_loop(levels, floor):
+    # small integer levels give plenty of plateaus, ties and edge maxima
+    p = np.array(levels, dtype=float)
+    p /= p.sum()
+    dist = PopulationDistribution(HalfInt(p.size - 1), p)
+    assert count_peaks(dist, floor) == _count_peaks_loop(dist.probs, floor)

@@ -270,3 +270,14 @@ def test_brute_diagonalize_diagonal_input_returns_at_once():
     order = np.argsort(diag, kind="stable")
     assert np.array_equal(w, diag[order])
     assert np.array_equal(v, np.eye(5)[:, order])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_ground_state_energy_beyond_float_range_is_infinite():
+    # the float window is -inf + inf there, so the exact comparison scans every m
+    result = ground_state(ModelParams.quadratic(1.0, -1e308, 1.0), HalfInt(400))
+    assert result.m0 == HalfInt(-400)
+    assert result.pair.energy == -math.inf
+    assert _scan_minimum(ModelParams(order=3, coeffs=(0, 1, 0, -1e308),
+                                     angles=RotationAngles(1.0)), HalfInt(40)) == (40, False)

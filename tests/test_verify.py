@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import exactspin.model
+import exactspin.verify
 from exactspin.verify import (
     CV_LIMIT,
     build_report,
@@ -71,3 +73,18 @@ def test_report_settings_carry_the_oracle_cap():
     assert settings["oracle_max_twice_j"] == 20
     small = build_report(max_twice_j=6, draws=1, seed=0, sweep_twice_j=8)["settings"]
     assert small["oracle_max_twice_j"] == 6
+
+
+def test_diagnostic_sweeps_build_each_swept_model_once(monkeypatch):
+    calls = []
+    original = exactspin.model.model_hamiltonian
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exactspin.model, "model_hamiltonian", counting)
+    monkeypatch.setattr(exactspin.verify, "model_hamiltonian", counting)
+    run_diagnostic_sweeps()
+    # three band sweeps over 20 thetas, one dense model each
+    assert len(calls) == 60
