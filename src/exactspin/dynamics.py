@@ -3,10 +3,10 @@
 Evolution is spectral: a state expressed in the closed-form eigenbasis
 only rotates coefficient phases.  U O U† is tridiagonal for O = Jz, Jx,
 Jy, so an expectation value is a static part plus one beat per pair of
-adjacent levels, O(dim) per time point.  evolve_series evaluates several
-series in one pass over chunks of the time grid: the phases of a chunk
-are formed once, and their cos and sin multiply the stacked weights of
-every series, so memory stays bounded by SERIES_CHUNK_BYTES at any j.
+adjacent levels, O(dim) per time point.  On a uniform grid evolve_series
+factors e^{i w t_{aB+b}} = e^{i w t_{aB}} e^{i w (t_b - t_0)}, so BLAS products
+of two small phase tables give every value (any other grid takes B = 1, the
+direct sum), in memory bounded by SERIES_CHUNK_BYTES at any j.
 
 The printed population-evolution formula for the quadratic model is also
 evaluated verbatim (no conjugates, squared ladder factor, as printed) as
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 EVOLVE_OBSERVABLES = ("Jz", "Jy", "Jx")
-# bytes of one chunk's phase array; its cos and sin take as much again each
+# bytes of one block of complex phases; evolve_series holds three at most
 SERIES_CHUNK_BYTES = 1 << 22
 
 
@@ -118,8 +118,8 @@ def rotated_observable(params: ModelParams, j, obs: str) -> np.ndarray:
 
 
 def _series_weights(params: ModelParams, j, state: EigenbasisState,
-                    name: str) -> tuple[float, np.ndarray, np.ndarray]:
-    """(static part, cos weights, sin weights) of one series over the level gaps."""
+                    name: str) -> tuple[float, np.ndarray]:
+    """(static part, c) of one series, static + Re sum_k c_k e^{i w_k t} over the gaps w."""
     c = state.coeffs
     if name == "printed":
         if params.order != 2:
@@ -129,34 +129,48 @@ def _series_weights(params: ModelParams, j, state: EigenbasisState,
         # term k >= 1 pairs C_k C_{k-1} with frequency E_{k-1} - E_k
         w = -math.sin(params.angles.theta) * (
             c[1:] * c[:-1] * (jval * (jval + 1.0) - m * (m - 1.0))).real
-        # cos(phi - x) = cos(phi) cos(x) + sin(phi) sin(x)
-        phi = params.angles.phi
-        return 0.0, math.cos(phi) * w, math.sin(phi) * w
+        # cos(phi - x) = Re e^{-i phi} e^{i x}
+        return 0.0, complex(math.cos(params.angles.phi), -math.sin(params.angles.phi)) * w
     diag, sup = _rotated_bands(j, params.angles, name)
     beats = 2.0 * (c[:-1].conj() * sup * c[1:])
-    # 2 Re(b e^{-i w t}) = 2 Re(b) cos(w t) + 2 Im(b) sin(w t)
-    return float(np.sum(diag * np.abs(c) ** 2)), beats.real, beats.imag
+    # 2 Re(b e^{-i w t}) = Re(conj(2b) e^{i w t})
+    return float(np.sum(diag * np.abs(c) ** 2)), beats.conj()
 
 
 def evolve_series(params: ModelParams, j, state: EigenbasisState, names, times) -> np.ndarray:
     """Columns of the named series over times, shape (len(times), len(names)).
 
-    A name is an observable of EVOLVE_OBSERVABLES (the exact <O>(t)) or
-    "printed" (the printed formula, order 2 only).  All of them come from
-    one pass over time chunks of at most SERIES_CHUNK_BYTES of phases."""
+    A name is an observable of EVOLVE_OBSERVABLES (the exact <O>(t)) or "printed" (the
+    printed formula, order 2 only).  Time t_{aB+b} is the anchor t_{aB} plus the step t_b - t_0
+    plus a remainder r, B = isqrt(points) capped by SERIES_CHUNK_BYTES, so a chunk of anchor
+    phases A gives (A * c) @ step^T per series, plus r times the same sum for d/dt.  A grid
+    with any |r| > 4 eps max|t| (a non-uniform one) takes B = 1, the direct sum."""
     j = _check_j(j)
     times = np.asarray(times, dtype=float)
     if state.dim != j.twice + 1:
         raise ValueError(f"state dim {state.dim} does not match 2j+1 = {j.twice + 1}")
-    static, wcos, wsin = zip(*(_series_weights(params, j, state, name) for name in names))
-    wcos, wsin = np.stack(wcos, axis=1), np.stack(wsin, axis=1)
+    static, coeffs = zip(*(_series_weights(params, j, state, name) for name in names))
     gaps = np.diff(energy_values(params, j))
-    rows = max(1, SERIES_CHUNK_BYTES // (8 * max(1, gaps.size)))
-    values = np.empty((times.size, len(names)))
-    for start in range(0, times.size, rows):
-        phase = np.outer(times[start:start + rows], gaps)
-        values[start:start + rows] = np.cos(phase) @ wcos + np.sin(phase) @ wsin
-    return values + np.array(static)
+    coeffs = np.stack(coeffs + tuple(1j * gaps * c for c in coeffs))  # then each d/dt
+    n, width = times.size, max(1, gaps.size)
+    tol = 4.0 * np.finfo(float).eps * np.abs(times).max(initial=0.0)
+    for block in (max(1, min(math.isqrt(n), SERIES_CHUNK_BYTES // (16 * width))), 1):
+        anchors, steps = times[::block], times[:block] - times[:1]
+        # t - (anchor + step), rounded only in t - anchor: far below an ulp of t
+        shift = (times - np.repeat(anchors, block)[:n]) - np.tile(steps, anchors.size)[:n]
+        if np.all(np.abs(shift) <= tol):
+            break
+    step_t = np.exp(1j * np.outer(gaps, steps))
+    rows = max(1, SERIES_CHUNK_BYTES // (16 * max(width, block)))
+    values = np.empty((n, len(coeffs)))
+    for start in range(0, anchors.size, rows):
+        phase = np.exp(1j * np.outer(anchors[start:start + rows], gaps))
+        out = values[start * block:(start + rows) * block]
+        for s, c in enumerate(coeffs):
+            out[:, s] = ((phase * c) @ step_t).real.ravel()[:len(out)]
+        del phase  # before the next chunk's phases are formed
+    k = len(names)
+    return values[:, :k] + shift[:, None] * values[:, k:] + np.array(static)
 
 
 def evolve_observable(params: ModelParams, j, state: EigenbasisState, obs: str,

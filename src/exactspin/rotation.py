@@ -160,8 +160,9 @@ def apply_rotation(j, angles: RotationAngles, vec: np.ndarray, dagger: bool = Fa
     zphase = np.exp(1j * angles.phi * m_floats(j))
     d = little_d(j, angles.theta)
     if dagger:
-        return d.T @ (zphase.conj() * vec)
-    return zphase * (d @ vec)
+        d, vec = d.T, zphase.conj() * vec
+    out = d @ vec.real + 1j * (d @ vec.imag)  # d is real: no complex copy of it
+    return out if dagger else zphase * out
 
 
 def rotated_basis_state(j, angles: RotationAngles, m) -> np.ndarray:

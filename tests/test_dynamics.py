@@ -1,7 +1,9 @@
 """Tests for exact spectral evolution, the printed formula, and envelope analysis."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,10 +14,12 @@ from exactspin import (
     ModelParams,
     RotationAngles,
     apply_hamiltonian,
+    energy_values,
     envelope_metric,
     evolve_observable,
     evolve_series,
     exact_spectrum,
+    little_d_row,
     m_floats,
     paper_jz_series,
     revival_time,
@@ -24,7 +28,7 @@ from exactspin import (
     state_at,
     to_eigenbasis,
 )
-from exactspin.dynamics import TimeSeries
+from exactspin.dynamics import TimeSeries, _series_weights
 
 
 def dicke_state(twice_j, twice_m):
@@ -283,3 +287,101 @@ def test_printed_formula_matches_its_verbatim_phase(monkeypatch, chunk_rows):
     np.testing.assert_allclose(both[:, 0], series.values, rtol=0, atol=1e-13)
     np.testing.assert_allclose(both[:, 1], evolve_observable(p, j, state, "Jx", times).values,
                                rtol=0, atol=1e-13)
+
+
+def _dense_series(p, j, state, obs, times):
+    # c(t)^dagger (U O U^dagger) c(t) with c(t) = C e^{-iEt}, from the dense matrix
+    ct = state.coeffs[None, :] * np.exp(-1j * np.outer(times, energy_values(p, j)))
+    return np.einsum("tk,kl,tl->t", ct.conj(), rotated_observable(p, j, obs), ct).real
+
+
+_NON_UNIFORM = np.cumsum(np.random.default_rng(5).uniform(0.05, 1.0, size=50))
+_NUDGED = np.linspace(0.0, 60.0, 97)
+_NUDGED[50] += 1e-9  # far above rounding, so the check must send it to B = 1
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 16 * 13 * 3])
+@pytest.mark.parametrize("times", [
+    np.array([]), np.array([0.7]), np.array([0.0, 2.5]),
+    np.linspace(0.0, 60.0, 97), np.linspace(-3.0, 60.0, 100), np.linspace(1.0, 80.0, 101),
+    _NON_UNIFORM, _NUDGED],
+    ids=["0", "1", "2", "prime", "square", "square+1", "non-uniform", "nudged"])
+def test_factored_series_edge_cases_match_the_dense_series(monkeypatch, chunk_bytes, times):
+    # with chunk_bytes, blocks of 3 steps and chunks of 3 anchors, so 97, 100 and 101
+    # points leave a partial last block (as 97 and 101 do by default) that is trimmed
+    if chunk_bytes is not None:
+        monkeypatch.setattr(exactspin.dynamics, "SERIES_CHUNK_BYTES", chunk_bytes)
+    j = HalfInt(13)
+    p = ModelParams(order=3, coeffs=(0.2, 1.0, 0.05, -0.01), angles=RotationAngles(0.9, 1.1))
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=14) + 1j * rng.normal(size=14)
+    state = EigenbasisState(c / np.linalg.norm(c))
+    names = ("Jz", "Jx", "Jy")
+    values = evolve_series(p, j, state, names, times)
+    assert values.shape == (times.size, 3)
+    for col, obs in zip(values.T, names):
+        dense = _dense_series(p, j, state, obs, times)
+        np.testing.assert_allclose(col, dense, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(dense), initial=1.0))
+
+
+def _mpmath_series(static, coeffs, gaps, times):
+    """static + sum_k Re(c_k) cos(w_k t) - Im(c_k) sin(w_k t) in 40 digits, shape (t, series)."""
+    with mpmath.workdps(40):
+        gaps = [mpmath.mpf(float(w)) for w in gaps]
+        parts = [([mpmath.mpf(float(x)) for x in c.real], [-mpmath.mpf(float(x)) for x in c.imag])
+                 for c in coeffs]
+        rows = []
+        for t in times:
+            cos, sin = zip(*(mpmath.cos_sin(w * mpmath.mpf(float(t))) for w in gaps))
+            rows.append([float(s + mpmath.fdot(re, cos) + mpmath.fdot(im, sin))
+                         for s, (re, im) in zip(static, parts)])
+        return np.array(rows)
+
+
+@pytest.mark.parametrize("twice_j,coeffs,names", [
+    (200, (0.3, -1.1, 0.012), ("Jz", "printed", "Jy")),
+    (2000, (0.3, -1.1, 0.012), ("Jz", "printed", "Jy")),
+    (8191, (0.3, -1.1, 0.012), ("Jz", "printed", "Jy")),
+    (300, (0.1, 0.8, 0.02, -3e-4, 2e-6), ("Jz", "Jx", "Jy")),
+])
+def test_evolve_series_matches_an_mpmath_sum(twice_j, coeffs, names):
+    # the float weights and gaps summed in 40 digits at the given (not the factored)
+    # times: block starts and ends, the last point, random ones, and the revival, where
+    # every beat is back in phase and a coherent error in the times shows most
+    j = HalfInt(twice_j)
+    p = ModelParams(order=len(coeffs) - 1, coeffs=coeffs, angles=RotationAngles(1.1, 2.3))
+    state = EigenbasisState(np.exp(1j * 2.3 * m_floats(j)) * little_d_row(j, -1.1, twice_j))
+    times = np.linspace(0.0, 1.1 * math.pi / 0.012, 4000)
+    block = math.isqrt(times.size)
+    revival = int(np.argmin(np.abs(times - math.pi / 0.012)))
+    rng = np.random.default_rng(twice_j)
+    picks = sorted({0, 1, block - 1, block, block + 1, 17 * block - 1, 17 * block,
+                    times.size - 2, times.size - 1, *(revival + np.arange(-9, 10, 3)),
+                    *rng.integers(0, times.size, size=3)})
+    if twice_j > 2000:  # 8191 terms a time in 40 digits: the revival and the last point
+        picks = [revival - 3, revival, revival + 3, times.size - 1]
+    values = evolve_series(p, j, state, names, times)
+    static, coeffs = zip(*(_series_weights(p, j, state, name) for name in names))
+    exact = _mpmath_series(static, coeffs, np.diff(energy_values(p, j)), times[picks])
+    assert np.all(np.abs(values[picks] - exact) <= 1e-12 * np.max(np.abs(values), axis=0))
+
+
+@pytest.mark.parametrize("twice_j,num_points,chunk_bytes", [
+    (2000, 4000, None), (8191, 40, None), (2000, 4000, 1 << 19)])
+def test_evolve_series_memory_stays_within_four_chunks(monkeypatch, twice_j, num_points,
+                                                       chunk_bytes):
+    # with 512 KiB chunks the step table must shrink below isqrt(4000) = 63 rows
+    if chunk_bytes is not None:
+        monkeypatch.setattr(exactspin.dynamics, "SERIES_CHUNK_BYTES", chunk_bytes)
+    j = HalfInt(twice_j)
+    p = ModelParams.quadratic(-1.1, 0.012, theta=1.1, phi=2.3, a0=0.3)
+    state = EigenbasisState(np.exp(1j * 2.3 * m_floats(j)) * little_d_row(j, -1.1, twice_j))
+    times = np.linspace(0.0, 300.0, num_points)
+    tracemalloc.start()
+    try:
+        values = evolve_series(p, j, state, ("Jz", "printed", "Jy"), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * exactspin.dynamics.SERIES_CHUNK_BYTES + values.nbytes
