@@ -5,6 +5,10 @@ energies are the polynomial values E_m and eigenvectors the rotated
 basis states U†|j,m>.  brute_diagonalize is an independent in-house
 parallel-ordered (Brent–Luk) Jacobi eigensolver with inner rotations,
 used to verify that claim; it shares no code path with the closed form.
+It takes one matrix or a stack (..., n, n) in one pass.  Matrices of
+different sizes share a stack zero-padded to the largest: a pad index is
+never rotated, so it adds the eigenvalue 0.0 on its own unit vector and
+leaves every other eigenpair of its matrix with zero pad rows.
 
 Ground-state selection follows the quadratic classification (vertex of
 the energy parabola, clamped to the magnetic range), generalized from
@@ -23,7 +27,7 @@ import numpy as np
 
 from .model import ModelParams, apply_hamiltonian, energy_values
 from .rotation import little_d, rotated_basis_state
-from .su2 import HalfInt, _check_j, is_hermitian, m_floats
+from .su2 import HalfInt, _check_j, m_floats
 
 __all__ = [
     "EigenPair",
@@ -193,66 +197,96 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 def brute_diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parallel-ordered (Brent–Luk) Jacobi with inner rotations (independent oracle).
 
+    h is one Hermitian matrix (n, n) or a stack of them (..., n, n); a single
+    matrix runs as a stack of one.  Returns (eigenvalues ascending, eigenvector
+    columns) with shapes (..., n) and (..., n, n).
+
     Each sweep runs the round-robin ordering: every round annihilates n/2
-    disjoint off-diagonal pairs at once with commuting complex Givens
-    rotations, applied as array operations, until the off-diagonal
-    Frobenius norm falls below JACOBI_TOL * scale.  Rotations are inner (|angle|
-    <= pi/4): under this ordering outer ones about double the sweep count.
-    Returns (eigenvalues ascending, eigenvector columns).
+    disjoint off-diagonal pairs of every matrix at once with commuting complex
+    Givens rotations, applied as array operations.  Each matrix keeps its own
+    scale, stop and threshold: it stops rotating once its off-diagonal
+    Frobenius norm falls below JACOBI_TOL * scale, and within a round its pairs
+    below threshold get the identity rotation.  Rotations are inner (|angle| <=
+    pi/4): under this ordering outer ones about double the sweep count.
+
+    Zero padding is exact.  A matrix zero-padded to the stack's n pairs every
+    pad index only with a_pq = 0, so no pad index is ever rotated: each pad
+    eigenvalue is exactly 0.0 with the unit vector at its index as eigenvector,
+    and the other eigenvectors have exactly zero pad rows.
     Deliberately self-contained: no LAPACK, no reuse of the closed form.
     """
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"square matrix required, got shape {a.shape}")
-    if n > ORACLE_MAX_DIM:
-        raise ValueError(f"oracle limited to dim <= {ORACLE_MAX_DIM}, got {n}")
-    if not is_hermitian(a, tol=1e-12):
+    h = np.asarray(h)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"square matrices required, got shape {h.shape}")
+    n = h.shape[-1]
+    if not 1 <= n <= ORACLE_MAX_DIM:
+        raise ValueError(f"oracle needs 1 <= dim <= {ORACLE_MAX_DIM}, got {n}")
+    stack = h.reshape(-1, n, n)
+    scale = np.max(np.abs(stack), axis=(1, 2), initial=0.0)
+    asym = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2), initial=0.0)
+    if not np.all(asym <= 1e-12 * scale):
         raise ValueError("matrix is not Hermitian to 1e-12 of its magnitude")
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.real.diagonal().copy(), v
-    scale = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
+    # row i of y is column i of A, then column i of V: the column rotation that
+    # A and V share is one update of contiguous rows, and only the A half (the
+    # transpose at, at[:, i, k] = a[:, k, i]) takes the row rotation
+    y = np.zeros((stack.shape[0], n, 2 * n), dtype=complex)
+    y[:, :, :n] = stack.swapaxes(1, 2)
+    y[:, :, n:] = np.eye(n)
+    at = y[:, :, :n]
     # quadratic convergence makes the exit off-norm far below this bound;
     # eps*n guards against stalling at the rounding floor of large matrices
-    stop = scale * max(JACOBI_TOL, np.finfo(float).eps * n)
-    rounds = _round_robin(n)
+    stop = np.maximum(scale, np.finfo(float).tiny) * max(JACOBI_TOL, np.finfo(float).eps * n)
+    diag = np.arange(n)
+    rounds = [(p, q, np.concatenate((p, q)), np.concatenate((q, p))) for p, q in _round_robin(n)]
     for sweep in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off <= stop:
+        sq = np.abs(at) ** 2
+        sq[:, diag, diag] = 0.0
+        off = np.sqrt(np.sum(sq, axis=(1, 2)))
+        done = off <= stop
+        if done.all():
             break
-        # threshold strategy: skip tiny elements in early sweeps
-        thresh = off / (n * n) if sweep < 3 else 0.0
-        for p, q in rounds:
-            apq = a[p, q]
+        # threshold strategy: skip tiny elements in early sweeps; a converged
+        # matrix gets an infinite threshold, so nothing rotates it again
+        thresh = np.where(done, np.inf, off / (n * n) if sweep < 3 else 0.0)[:, None]
+        for p, q, pq, qp in rounds:
+            apq = at[:, q, p]
             r = np.abs(apq)
-            keep = r > thresh
-            if not keep.any():
+            rot = r > thresh
+            if not rot.any():
                 continue
-            p, q, apq, r = p[keep], q[keep], apq[keep], r[keep]
-            f = apq / r
-            d = a[p, p].real - a[q, q].real
+            # a pair below threshold gets angle 0: c = 1, s = 0, the identity
+            r = np.where(rot, r, 0.0)
+            f = apq / np.where(rot, r, 1.0)
+            d = at[:, p, p].real - at[:, q, q].real
             angle = 0.5 * np.arctan2(np.copysign(2.0 * r, d), np.abs(d))
             c = np.cos(angle)
-            s = np.sin(angle)
-            sf = s * f
+            sf = np.sin(angle) * f
             sfc = np.conj(sf)
-            col_p = a[:, p]
-            col_q = a[:, q]
-            a[:, p] = c * col_p + sfc * col_q
-            a[:, q] = -sf * col_p + c * col_q
-            row_p = a[p, :]
-            row_q = a[q, :]
-            a[p, :] = c[:, None] * row_p + sf[:, None] * row_q
-            a[q, :] = -sfc[:, None] * row_p + c[:, None] * row_q
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a[p, p] = a[p, p].real
-            a[q, q] = a[q, q].real
-            v_p = v[:, p]
-            v_q = v[:, q]
-            v[:, p] = c * v_p + sfc * v_q
-            v[:, q] = -sf * v_p + c * v_q
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+            # columns p, q of A and V (rows of y), then rows p, q of A (columns
+            # of at); updating in place spares the temporaries
+            col_p = y[:, p]
+            col_q = y[:, q]
+            new = c[:, :, None] * col_p
+            new += sfc[:, :, None] * col_q
+            y[:, p] = new
+            col_q *= c[:, :, None]
+            col_q -= sf[:, :, None] * col_p
+            y[:, q] = col_q
+            row_p = at[:, :, p]
+            row_q = at[:, :, q]
+            new = c[:, None] * row_p
+            new += sf[:, None] * row_q
+            at[:, :, p] = new
+            row_q *= c[:, None]
+            row_q -= sfc[:, None] * row_p
+            at[:, :, q] = row_q
+            # only rotated pairs get a_pq = a_qp = 0 and a real a_pp, a_qq
+            rot2 = np.concatenate((rot, rot), axis=1)
+            at[:, qp, pq] = np.where(rot2, 0.0, at[:, qp, pq])
+            a_pp = at[:, pq, pq]
+            at[:, pq, pq] = np.where(rot2, a_pp.real, a_pp)
+    w = np.real(at[:, diag, diag])
+    order = np.argsort(w, axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1)
+    v = np.take_along_axis(y[:, :, n:].swapaxes(1, 2), order[:, None, :], axis=2)
+    return w.reshape(h.shape[:-1]), v.reshape(h.shape)

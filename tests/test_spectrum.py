@@ -281,3 +281,163 @@ def test_ground_state_energy_beyond_float_range_is_infinite():
     assert result.pair.energy == -math.inf
     assert _scan_minimum(ModelParams(order=3, coeffs=(0, 1, 0, -1e308),
                                      angles=RotationAngles(1.0)), HalfInt(40)) == (40, False)
+
+
+def _random_hermitian(rng, n, kind="complex", scale=1.0):
+    b = rng.normal(size=(n, n))
+    if kind == "complex":
+        b = b + 1j * rng.normal(size=(n, n))
+    return scale * (b + b.conj().T) / 2
+
+
+def test_brute_diagonalize_stack_of_one_matches_the_single_call():
+    h = _random_hermitian(np.random.default_rng(41), 9)
+    w, v = brute_diagonalize(h)
+    ws, vs = brute_diagonalize(h[None])
+    assert ws.shape == (1, 9) and vs.shape == (1, 9, 9)
+    assert np.array_equal(ws[0], w)
+    assert np.array_equal(vs[0], v)
+
+
+@pytest.mark.parametrize("n", [2, 5, 21])
+def test_brute_diagonalize_mixed_stack_is_certified_per_matrix(n):
+    # real and complex members at scales 1e6 apart: each keeps its own scale,
+    # stop and threshold, so each gives the bits of its own single call
+    rng = np.random.default_rng(200 + n)
+    members = [_random_hermitian(rng, n, kind, scale)
+               for kind, scale in (("real", 1.0), ("complex", 1e-3), ("complex", 1e3),
+                                   ("real", 1e-3))]
+    w, v = brute_diagonalize(np.stack(members))
+    assert w.shape == (4, n) and v.shape == (4, n, n)
+    for h, w_i, v_i in zip(members, w, v):
+        _assert_certified(h, w_i, v_i)
+        w_one, v_one = brute_diagonalize(h)
+        assert np.array_equal(w_i, w_one)
+        assert np.array_equal(v_i, v_one)
+
+
+def test_brute_diagonalize_padded_stack_is_exact():
+    rng = np.random.default_rng(43)
+    dims = (1, 3, 7, 12)
+    n = 12
+    members = [_random_hermitian(rng, k, kind) for k, kind in zip(dims, ("real", "complex") * 2)]
+    stack = np.zeros((len(dims), n, n), dtype=complex)
+    for h, m in zip(stack, members):
+        h[:len(m), :len(m)] = m
+    w, v = brute_diagonalize(stack)
+    for m, w_i, v_i in zip(members, w, v):
+        k = len(m)
+        own = np.any(v_i[:k] != 0.0, axis=0)
+        assert own.sum() == k
+        # pad eigenvalues are exactly 0.0 with exact unit vectors on the pad rows
+        # (ties at 0.0 sort stably, so the pad columns keep their index order)
+        assert np.all(w_i[~own] == 0.0)
+        assert np.array_equal(v_i[:, ~own], np.eye(n)[:, k:])
+        # the draw's own eigenvectors have exactly zero pad rows
+        assert np.all(v_i[k:, own] == 0.0)
+        _assert_certified(m, w_i[own], v_i[:k, own])
+
+
+@pytest.mark.parametrize("h", [
+    np.array(1.0),
+    np.ones(3),
+    np.zeros((0, 0)),
+    np.zeros((3, 4)),
+    np.zeros((2, 3, 4)),
+    np.zeros((2, 0, 0)),
+], ids=["0-d", "1-d", "0x0", "3x4", "stack-3x4", "stack-0x0"])
+def test_brute_diagonalize_rejects_bad_shapes(h):
+    with pytest.raises(ValueError):
+        brute_diagonalize(h)
+
+
+def test_brute_diagonalize_checks_hermiticity_per_matrix():
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    # asymmetric at its own magnitude, however small that magnitude is
+    with pytest.raises(ValueError):
+        brute_diagonalize(1e-13 * nilpotent)
+    # one bad member refuses the stack, even where its asymmetry is tiny
+    # beside the magnitude of another member
+    big = _random_hermitian(np.random.default_rng(44), 2, scale=1e6)
+    with pytest.raises(ValueError):
+        brute_diagonalize(np.stack([big, 1e-9 * nilpotent]))
+    w, _ = brute_diagonalize(np.stack([big, 1e-3 * (nilpotent + nilpotent.T)]))
+    np.testing.assert_allclose(w[1], [-1e-3, 1e-3], rtol=1e-12)
+
+
+def test_brute_diagonalize_refuses_an_oversized_view_before_copying():
+    import tracemalloc
+
+    h = np.broadcast_to(0.0, (4000, 4000))  # 256 MB as a complex copy, 8 bytes as a view
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            brute_diagonalize(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _one_matrix_jacobi(h):
+    """The one-matrix loop brute_diagonalize replaced: kept pairs only, A and V apart."""
+    a = np.array(h, dtype=complex)
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    scale = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
+    stop = scale * max(1e-14, np.finfo(float).eps * n)
+    for sweep in range(60):
+        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
+        if off <= stop:
+            break
+        thresh = off / (n * n) if sweep < 3 else 0.0
+        for p, q in _round_robin(n):
+            apq = a[p, q]
+            r = np.abs(apq)
+            keep = r > thresh
+            if not keep.any():
+                continue
+            p, q, apq, r = p[keep], q[keep], apq[keep], r[keep]
+            f = apq / r
+            d = a[p, p].real - a[q, q].real
+            angle = 0.5 * np.arctan2(np.copysign(2.0 * r, d), np.abs(d))
+            c = np.cos(angle)
+            sf = np.sin(angle) * f
+            sfc = np.conj(sf)
+            for m in (a, v):
+                col_p = m[:, p]
+                col_q = m[:, q]
+                m[:, p] = c * col_p + sfc * col_q
+                m[:, q] = -sf * col_p + c * col_q
+            row_p = a[p, :]
+            row_q = a[q, :]
+            a[p, :] = c[:, None] * row_p + sf[:, None] * row_q
+            a[q, :] = -sfc[:, None] * row_p + c[:, None] * row_q
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            a[p, p] = a[p, p].real
+            a[q, q] = a[q, q].real
+    w = np.real(np.diag(a))
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
+def test_brute_diagonalize_gives_the_bits_of_the_one_matrix_loop():
+    # same arithmetic per rotated pair, the identity elsewhere: equal, not close
+    rng = np.random.default_rng(45)
+    cases = [_random_hermitian(rng, n, kind) for n in (2, 7, 21) for kind in ("real", "complex")]
+    # rotated models carry rounding-level imaginary parts on the diagonal
+    cases += [model_hamiltonian(ModelParams(order=3, coeffs=(0.2, -1.0, 0.3, 0.05),
+                                            angles=RotationAngles(1.3, 0.6)), HalfInt(twice_j))
+              for twice_j in (4, 20)]
+    cases.append(operator_matrix(HalfInt(8), "Jx"))
+    # a diagonal is made real only where its pair rotates: imaginary parts on
+    # the diagonal (allowed to 1e-12), and a zero pair left out of the first round
+    h = _random_hermitian(rng, 8) + 1j * np.diag(rng.normal(size=8)) * 1e-13
+    h[0, 7] = h[7, 0] = 0.0
+    cases.append(h)
+    for h in cases:
+        w, v = brute_diagonalize(h)
+        w_ref, v_ref = _one_matrix_jacobi(h)
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(v, v_ref)

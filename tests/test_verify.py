@@ -5,8 +5,10 @@ import pytest
 
 import exactspin.model
 import exactspin.verify
+from exactspin import HalfInt, ModelParams
 from exactspin.verify import (
     CV_LIMIT,
+    _random_params,
     build_report,
     run_diagnostic_sweeps,
     run_observations,
@@ -88,3 +90,36 @@ def test_diagnostic_sweeps_build_each_swept_model_once(monkeypatch):
     run_diagnostic_sweeps()
     # three band sweeps over 20 thetas, one dense model each
     assert len(calls) == 60
+
+
+def test_spectrum_vs_oracle_draws_follow_the_seeded_stream(monkeypatch):
+    # the stacked oracle draws every (params, twice_j) in the order the
+    # one-at-a-time loop did, so the ground-rule draws after it are unchanged too
+    built, grounds, oracle_calls = [], [], []
+    original_build = exactspin.verify.model_hamiltonian
+    original_ground = exactspin.verify.ground_state
+    original_oracle = exactspin.verify.brute_diagonalize
+    monkeypatch.setattr(exactspin.verify, "model_hamiltonian",
+                        lambda params, j: built.append((params, j)) or original_build(params, j))
+    monkeypatch.setattr(exactspin.verify, "ground_state",
+                        lambda params, j: grounds.append((params, j)) or original_ground(params, j))
+    monkeypatch.setattr(exactspin.verify, "brute_diagonalize",
+                        lambda h: oracle_calls.append(h.shape) or original_oracle(h))
+    run_required_checks(max_twice_j=16, draws=10, seed=1)
+
+    rng = np.random.default_rng(1)
+    expected = []
+    for _ in range(10):
+        params = _random_params(rng)
+        expected.append((params, HalfInt(int(rng.integers(1, 17)))))
+    expected_grounds = []
+    for _ in range(10):
+        a2 = float(rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 2.0))
+        a1 = float(rng.uniform(-2.0, 2.0))
+        twice_j = int(rng.integers(1, 60))
+        params = ModelParams.quadratic(a1, a2, theta=float(rng.uniform(0.1, 3.0)))
+        expected_grounds.append((params, HalfInt(twice_j)))
+    assert built == expected
+    assert grounds == expected_grounds
+    dim = max(j.twice for _, j in expected) + 1
+    assert oracle_calls == [(10, dim, dim)]
