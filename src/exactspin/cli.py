@@ -1,11 +1,12 @@
 """Command-line front end: spectrum | ground | evolve | verify.
 
-Configs are INI files (key = value, one section per concern); command
-line flags override config values.  Outputs are CSV or JSON written
-atomically (temp file + rename), with shortest round-trip float
-formatting and '\n' line endings so identical inputs give byte-identical
-files.  Exit codes: 0 success, 2 config validation error, 3 numerical
-check failure (verify), 4 I/O error.
+Configs are INI files (key = value, one section per concern).  Each value
+flag but --config and --threads sets the config key its dest names
+('section.key'), and a given flag overrides the file.  Outputs are CSV or
+JSON written atomically (temp file + rename), with shortest round-trip
+float formatting and '\n' line endings so identical inputs give
+byte-identical files.  Exit codes: 0 success, 2 config validation error,
+3 numerical check failure (verify), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -147,16 +148,18 @@ def _get(section: dict[str, str], key: str, cast, default=None):
         raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from exc
 
 
-def _build_model(config: dict, args) -> tuple[ModelParams, HalfInt]:
-    section = dict(config.get("model", {}))
-    if args.j is not None:
-        section["twice_j"] = str(args.j)
-    if args.theta is not None:
-        section["theta"] = repr(args.theta)
-    if args.phi is not None:
-        section["phi"] = repr(args.phi)
-    if args.coeffs is not None:
-        section["coeffs"] = args.coeffs
+def _settings(args) -> dict[str, dict[str, str]]:
+    """The config's sections with every given flag laid over its key: flag > config > default."""
+    config = _read_config(args.config)
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            config.setdefault(section, {})[key] = str(value)
+    return config
+
+
+def _build_model(config: dict) -> tuple[ModelParams, HalfInt]:
+    section = config.get("model", {})
     if not section:
         raise ConfigError("no model given; provide --config or --j/--A/--theta flags")
     twice_j = _get(section, "twice_j", int)
@@ -176,10 +179,10 @@ def _build_model(config: dict, args) -> tuple[ModelParams, HalfInt]:
     return params, HalfInt(twice_j)
 
 
-def _output_target(config: dict, args, default_name: str) -> tuple[str, str]:
+def _output_target(config: dict, default_name: str) -> tuple[str, str]:
     section = config.get("output", {})
-    path = args.out or section.get("path") or default_name
-    fmt = (args.format or section.get("format") or "csv").lower()
+    path = section.get("path") or default_name
+    fmt = (section.get("format") or "csv").lower()
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     return path, fmt
@@ -219,9 +222,9 @@ def _parse_initial(spec: str, params: ModelParams, j: HalfInt) -> EigenbasisStat
                       f"amplitudes:..., got {spec!r}")
 
 
-def cmd_spectrum(config: dict, args) -> int:
-    params, j = _build_model(config, args)
-    path, fmt = _output_target(config, args, "spectrum.csv")
+def cmd_spectrum(config: dict) -> int:
+    params, j = _build_model(config)
+    path, fmt = _output_target(config, "spectrum.csv")
     energies = energy_values(params, j)
     # eigenvector k is row k of d times e^{-i phi m_k}; that phase has modulus one and
     # drops out of ||H v - E v||, so one real Horner product on d^T gives every residual
@@ -233,9 +236,9 @@ def cmd_spectrum(config: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_ground(config: dict, args) -> int:
-    params, j = _build_model(config, args)
-    path, fmt = _output_target(config, args, "ground.csv")
+def cmd_ground(config: dict) -> int:
+    params, j = _build_model(config)
+    path, fmt = _output_target(config, "ground.csv")
     result = ground_state(params, j)
     meta = {"m0": result.m0.value, "energy": result.pair.energy,
             "degenerate": result.degenerate, "method": result.method}
@@ -244,9 +247,9 @@ def cmd_ground(config: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(config: dict, args) -> int:
-    params, j = _build_model(config, args)
-    path, fmt = _output_target(config, args, "evolve.csv")
+def cmd_evolve(config: dict) -> int:
+    params, j = _build_model(config)
+    path, fmt = _output_target(config, "evolve.csv")
     section = config.get("evolve", {})
     if not section:
         raise ConfigError("evolve requires an [evolve] config section")
@@ -275,19 +278,18 @@ def cmd_evolve(config: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: dict, args) -> int:
+def cmd_verify(config: dict) -> int:
     section = config.get("verify", {})
-    max_twice_j = args.max_j if args.max_j is not None else _get(
-        section, "max_twice_j", int, default=24)
-    draws = args.draws if args.draws is not None else _get(section, "draws", int, default=40)
-    seed = args.seed if args.seed is not None else _get(section, "seed", int, default=0)
+    max_twice_j = _get(section, "max_twice_j", int, default=24)
+    draws = _get(section, "draws", int, default=40)
+    seed = _get(section, "seed", int, default=0)
     if max_twice_j < 1 or draws < 1 or seed < 0:
         raise ConfigError(f"need max_twice_j >= 1, draws >= 1 and seed >= 0, "
                           f"got {max_twice_j}, {draws} and {seed}")
     report = build_report(max_twice_j=max_twice_j, draws=draws, seed=seed)
     text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        _write_atomic(args.out, text)
+    if path := config.get("output", {}).get("path"):
+        _write_atomic(path, text)
     else:
         sys.stdout.write(text)
     for check in report["required"]:
@@ -308,48 +310,44 @@ def _make_parser() -> argparse.ArgumentParser:
                     "spectra, ground states, dynamics, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "export the closed-form eigensystem (m, energy, residual)"),
-        ("ground", "export the ground state and its population distribution"),
-        ("evolve", "export exact observable evolution (and the printed formula)"),
-        ("verify", "run oracle checks and measured-deviation sweeps"),
+    for name, run, help_text in (
+        ("spectrum", cmd_spectrum, "export the closed-form eigensystem (m, energy, residual)"),
+        ("ground", cmd_ground, "export the ground state and its population distribution"),
+        ("evolve", cmd_evolve, "export exact observable evolution (and the printed formula)"),
+        ("verify", cmd_verify, "run oracle checks and measured-deviation sweeps"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--j", type=int, metavar="TWICE_J",
-                       help="doubled total spin (e.g. 200 for j=100)")
-        p.add_argument("--theta", type=float, help="rotation angle theta (radians)")
-        p.add_argument("--phi", type=float, help="rotation angle phi (radians)")
-        p.add_argument("--A", dest="coeffs", metavar="a0,a1,...",
-                       help="comma-separated polynomial coefficients")
+        p.add_argument("--out", dest="output.path", help="output path")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; computation is "
                             "deterministic and single-process")
         if name == "verify":
-            p.add_argument("--max-j", type=int, metavar="TWICE_J",
+            p.add_argument("--max-j", dest="verify.max_twice_j", type=int, metavar="TWICE_J",
                            help="cap the oracle comparisons at this doubled spin")
-            p.add_argument("--draws", type=int, help="number of random draws")
-            p.add_argument("--seed", type=int, help="random seed")
+            p.add_argument("--draws", dest="verify.draws", type=int, help="number of random draws")
+            p.add_argument("--seed", dest="verify.seed", type=int, help="random seed")
+            continue
+        p.add_argument("--format", dest="output.format", choices=("csv", "json"),
+                       help="output format")
+        p.add_argument("--j", dest="model.twice_j", type=int, metavar="TWICE_J",
+                       help="doubled total spin (e.g. 200 for j=100)")
+        p.add_argument("--theta", dest="model.theta", type=float,
+                       help="rotation angle theta (radians)")
+        p.add_argument("--phi", dest="model.phi", type=float, help="rotation angle phi (radians)")
+        p.add_argument("--A", dest="model.coeffs", metavar="a0,a1,...",
+                       help="comma-separated polynomial coefficients")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        config = _read_config(args.config)
-        if args.command == "spectrum":
-            return cmd_spectrum(config, args)
-        if args.command == "ground":
-            return cmd_ground(config, args)
-        if args.command == "evolve":
-            return cmd_evolve(config, args)
-        return cmd_verify(config, args)
+        return args.run(_settings(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

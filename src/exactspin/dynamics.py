@@ -83,9 +83,9 @@ def to_eigenbasis(params: ModelParams, j, psi0: np.ndarray) -> EigenbasisState:
     """Coefficients C_m = <j,m|U|psi0> of a lab-basis state."""
     j = _check_j(j)
     psi0 = np.asarray(psi0, dtype=complex)
-    norm = np.linalg.norm(psi0)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"initial state must be unit norm, got {norm}")
+    norm2 = float(np.sum(np.abs(psi0) ** 2))
+    if abs(norm2 - 1.0) > 1e-10:
+        raise ValueError(f"initial state must be unit norm, got sum |psi|^2 = {norm2}")
     return EigenbasisState(apply_rotation(j, params.angles, psi0))
 
 

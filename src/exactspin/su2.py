@@ -180,10 +180,11 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    """True if mat equals its conjugate transpose within tol of its max magnitude."""
+    """True if each matrix of mat (..., n, n) is Hermitian to tol of its own max |entry|."""
     mat = np.asarray(mat)
-    scale = max(np.max(np.abs(mat)), 1.0)
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol * scale)
+    scale = np.max(np.abs(mat), axis=(-2, -1), initial=0.0)
+    asym = np.max(np.abs(mat - mat.conj().swapaxes(-2, -1)), axis=(-2, -1), initial=0.0)
+    return bool(np.all(asym <= tol * scale))
 
 
 def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:

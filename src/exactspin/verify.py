@@ -37,6 +37,7 @@ from .model import (
     ModelParams,
     _printed_h2,
     apply_hamiltonian,
+    energy_values,
     fock_hamiltonian,
     model_hamiltonian,
     paper_literal_h2,
@@ -193,7 +194,7 @@ def run_required_checks(max_twice_j: int = 24, draws: int = 40,
         # the pad eigenvectors are unit vectors on the pad rows, so the draw's own
         # eigenvalues are those whose eigenvector has support in its first rows
         own = np.any(v[:j.twice + 1] != 0.0, axis=0)
-        exact = np.sort([p.energy for p in exact_spectrum(params, j)])
+        exact = np.sort(energy_values(params, j))
         worst = max(worst, np.max(np.abs(w[own] - exact)))
     add("spectrum_vs_oracle", worst, 1e-9, f"{draws} random draws, j <= {oracle_twice_j / 2}")
 
@@ -330,7 +331,7 @@ def run_diagnostic_sweeps(twice_j: int = 12, seed: int = 0) -> list[DiagnosticSw
     ]
 
 
-def run_observations(seed: int = 0) -> list[Observation]:
+def run_observations() -> list[Observation]:
     obs: list[Observation] = []
 
     # rotated-observable phase shift: <Jy> vs <Jz> on the collapse-revival setup
@@ -403,7 +404,7 @@ def build_report(max_twice_j: int = 24, draws: int = 40, seed: int = 0,
                  sweep_twice_j: int = 12) -> dict:
     required = run_required_checks(max_twice_j=max_twice_j, draws=draws, seed=seed)
     diagnostics = run_diagnostic_sweeps(twice_j=sweep_twice_j, seed=seed)
-    observations = run_observations(seed=seed)
+    observations = run_observations()
     passed = all(c.passed for c in required) and all(d.passed for d in diagnostics)
     return {
         "passed": passed,

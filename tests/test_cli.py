@@ -1,5 +1,6 @@
 """Tests for the command-line interface: validation, outputs, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,16 @@ import pytest
 
 import exactspin.dynamics
 import exactspin.verify
-from exactspin.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, _parse_initial, main
+from exactspin.cli import (
+    ALLOWED_KEYS,
+    EXIT_CHECK,
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    _make_parser,
+    _parse_initial,
+    main,
+)
 from exactspin.dynamics import evolve_observable, paper_jz_series, to_eigenbasis
 from exactspin.model import ModelParams
 from exactspin.rotation import RotationAngles, rotated_basis_state
@@ -233,6 +243,54 @@ def test_convention_flag_removed(tmp_path):
         main(["spectrum", "--j", "2", "--A", "0,1", "--theta", "0.5",
               "--out", str(tmp_path / "s.csv"), "--convention", "standard"])
     assert exc.value.code == EXIT_CONFIG
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = _make_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_value_flag_is_its_config_key():
+    commands = _subcommands()
+    for name, sub in commands.items():
+        for action in sub._actions:
+            if action.nargs == 0 or action.dest in ("config", "threads"):
+                continue
+            section, _, key = action.dest.partition(".")
+            assert key in ALLOWED_KEYS.get(section, ()), (name, action.option_strings)
+    flags = {name: {opt for a in sub._actions for opt in a.option_strings if a.nargs != 0}
+             for name, sub in commands.items()}
+    assert flags["verify"] == {"--config", "--out", "--threads", "--max-j", "--draws", "--seed"}
+    for name in ("spectrum", "ground", "evolve"):
+        assert flags[name] == {"--config", "--out", "--format", "--threads",
+                               "--j", "--theta", "--phi", "--A"}
+    verify_dests = {a.dest for a in commands["verify"]._actions}
+    assert not any(d.startswith("model.") for d in verify_dests)
+    assert "output.format" not in verify_dests
+
+
+@pytest.mark.parametrize("flag", ["--j=5", "--theta=9", "--phi=1", "--A=1,2", "--format=csv"])
+def test_verify_refuses_flags_it_never_reads(tmp_path, flag):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--out", str(out), flag])
+    assert exc.value.code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_model_flag_overrides_its_config_key(tmp_path):
+    cfg = write_config(tmp_path, "m.ini", "[model]\ntwice_j = 4\ncoeffs = 0,1,0.05\ntheta = 1.1\n")
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--config", cfg, "--j", "6", "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 7
+
+
+def test_verify_flag_overrides_config_and_writes_output_path(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    cfg = write_config(tmp_path, "v.ini", f"[verify]\ndraws = 0\n\n[output]\npath = {out}\n")
+    assert main(["verify", "--config", cfg, "--draws", "2"]) == EXIT_OK
+    assert json.loads(out.read_text())["settings"]["draws"] == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv,section", [

@@ -68,6 +68,16 @@ def test_to_eigenbasis_reconstruction():
         to_eigenbasis(p, j, 2.0 * psi)
 
 
+@pytest.mark.parametrize("scale", [1.0 + 1e-9, 2.0])
+def test_to_eigenbasis_refuses_the_norm_its_coefficients_would_refuse(scale):
+    # the input check decides: a drift EigenbasisState would reject is refused as
+    # a unit-norm error before the rotation, not as unnormalized coefficients after it
+    p = ModelParams.quadratic(0.7, 0.05, theta=0.9, phi=1.4)
+    psi = scale * dicke_state(6, 2)
+    with pytest.raises(ValueError, match="unit norm"):
+        to_eigenbasis(p, HalfInt(6), psi)
+
+
 def test_eigenbasis_state_validates_norm():
     with pytest.raises(ValueError):
         EigenbasisState(np.array([1.0, 1.0], dtype=complex))

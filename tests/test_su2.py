@@ -130,6 +130,17 @@ def test_hermiticity_flags():
     assert not is_hermitian(operator_matrix(j, "Jplus"))
 
 
+def test_hermiticity_is_relative_to_each_matrix():
+    # no absolute floor: a tiny nilpotent matrix is as far from Hermitian as a big one
+    tiny = 1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert not is_hermitian(tiny)
+    assert is_hermitian(np.zeros((2, 2)))
+    # a stack is Hermitian only if every member is, each against its own magnitude
+    jx = operator_matrix(HalfInt(1), "Jx")
+    assert is_hermitian(np.stack([jx, 1e6 * jx]))
+    assert not is_hermitian(np.stack([1e6 * jx, tiny]))
+
+
 def test_commutator_identity_and_errors():
     j = HalfInt(3)
     a = operator_matrix(j, "Jx")

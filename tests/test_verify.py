@@ -51,7 +51,7 @@ def test_diagnostic_sweeps_constant_with_expected_factors():
 
 
 def test_observations_present():
-    obs = {o.name: o for o in run_observations(seed=0)}
+    obs = {o.name: o for o in run_observations()}
     assert "jy_vs_jz_lag_over_quarter_period" in obs
     assert "two_mode_spectral_deviation" in obs
     assert obs["two_mode_spectral_deviation"].value > 0.0
