@@ -71,6 +71,15 @@ from .observables import (
     dicke_distribution,
     ground_distribution,
 )
-from .verify import build_report, run_diagnostic_sweeps, run_observations, run_required_checks
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the oracle layer is imported on first use, so spectrum, ground and evolve never load it
+    if name in ("build_report", "run_diagnostic_sweeps", "run_observations",
+                "run_required_checks"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

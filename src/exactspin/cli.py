@@ -24,10 +24,9 @@ import numpy as np
 from .dynamics import EigenbasisState, evolve_series, to_eigenbasis
 from .model import ModelParams, apply_hamiltonian, energy_values
 from .observables import dicke_distribution
-from .rotation import RotationAngles, little_d, little_d_row
+from .rotation import RotationAngles, _row_blocks, little_d, little_d_row
 from .spectrum import ground_state
 from .su2 import HalfInt, dicke_index, m_floats
-from .verify import build_report
 
 __all__ = ["main", "ConfigError"]
 
@@ -41,9 +40,10 @@ EXIT_IO = 4
 # predates the chunking and keeps its value because tests pin it
 EVOLVE_MAX_BYTES = 1 << 30
 # spectrum and evolve from amplitudes build the dense little-d matrix, and spectrum
-# peaks near 41 x dim^2 bytes.  The 64 x (twice_j + 1)^2 bound, its byte-budget
-# message and the twice_j <= 8191 cap stay only because tests pin them; ground and
-# the other evolve paths are O(dim) but share the cap
+# peaks near 24 x dim^2 bytes: every row's pivots and d itself, the rest finished and
+# certified in row blocks.  The 64 x (twice_j + 1)^2 bound, its byte-budget message
+# and the twice_j <= 8191 cap stay only because tests pin them; ground and the other
+# evolve paths are O(dim) but share the cap
 DENSE_MAX_BYTES = 1 << 32
 
 ALLOWED_KEYS = {
@@ -227,12 +227,16 @@ def cmd_spectrum(config: dict) -> int:
     path, fmt = _output_target(config, "spectrum.csv")
     energies = energy_values(params, j)
     # eigenvector k is row k of d times e^{-i phi m_k}; that phase has modulus one and
-    # drops out of ||H v - E v||, so one real Horner product on d^T gives every residual
-    vecs = little_d(j, params.angles.theta).T
-    hv = apply_hamiltonian(params, j, vecs)
-    hv -= vecs * energies
-    _write_table(path, fmt, {"m": m_floats(j), "energy": energies,
-                             "residual": np.linalg.norm(hv, axis=0)})
+    # drops out of ||H v - E v||, so real Horner products on blocks of d^T give every
+    # residual, with no dense temporary beside d
+    d = little_d(j, params.angles.theta)
+    residual = np.empty(j.twice + 1)
+    for block in _row_blocks(j.twice + 1, j.twice + 1):
+        vecs = d[block].T
+        hv = apply_hamiltonian(params, j, vecs)
+        hv -= vecs * energies[block]
+        residual[block] = np.linalg.norm(hv, axis=0)
+    _write_table(path, fmt, {"m": m_floats(j), "energy": energies, "residual": residual})
     return EXIT_OK
 
 
@@ -286,6 +290,8 @@ def cmd_verify(config: dict) -> int:
     if max_twice_j < 1 or draws < 1 or seed < 0:
         raise ConfigError(f"need max_twice_j >= 1, draws >= 1 and seed >= 0, "
                           f"got {max_twice_j}, {draws} and {seed}")
+    from .verify import build_report  # the oracle layer loads only for this command
+
     report = build_report(max_twice_j=max_twice_j, draws=draws, seed=seed)
     text = json.dumps(report, indent=2) + "\n"
     if path := config.get("output", {}).get("path"):

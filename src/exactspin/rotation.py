@@ -34,6 +34,16 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# rows of d are finished (and spectrum certifies them) this many bytes at a time, so
+# the dozen temporaries of a block stay in cache instead of each being dim x dim
+ROW_BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(n: int, dim: int) -> list[slice]:
+    """Slices cutting n rows of dim floats into blocks of ROW_BLOCK_BYTES, one row at least."""
+    step = max(1, ROW_BLOCK_BYTES // (8 * dim))
+    return [slice(a, a + step) for a in range(0, n, step)]
+
 
 @dataclass(frozen=True)
 class RotationAngles:
@@ -76,7 +86,11 @@ def _d_rows(j: HalfInt, theta: float, ks: np.ndarray) -> np.ndarray:
     array operation across rows; a single row runs the recurrence on
     Python floats instead, because for one row the per-step numpy calls
     cost ~5x the arithmetic (8 ms against 1.5 ms at dim 2001, where ground
-    and dicke: need one row each).  Both give the same bits.
+    and dicke: need one row each).  Both give the same bits.  The pivots
+    of all rows are held at once (16 x dim x n bytes); the twist, the
+    ratio products, the sign and the norm then finish the rows into the
+    result in blocks of ROW_BLOCK_BYTES, so all of d peaks near
+    24 x dim^2 bytes.  A row's bits do not depend on its block.
 
     The sign matches exp(i*theta*Jy): the last entry must have the sign of
     d[k, -1] = sqrt(C(2j, k)) cos(theta/2)^k (-sin(theta/2))^(2j-k).  The
@@ -110,22 +124,25 @@ def _d_rows(j: HalfInt, theta: float, ks: np.ndarray) -> np.ndarray:
             piv -= ratio
             piv[np.abs(piv) < pivmin] = -pivmin
         fwd, bwd = both[:, 0], both[::-1, 1]
-    r = np.argmin(np.abs(fwd + bwd - (cm[:, None] - mk)), axis=0)
-    # v_i = -(b_i / D+_i) v_{i+1} left of the twist, v_i = -(b_{i-1} / D-_i) v_{i-1} right
-    # of it; ratios on the far side of each row's twist are 1 in the products
-    index = np.arange(dim - 1)[:, None]
-    v = np.ones((dim, n))
-    v[:-1] = np.cumprod(np.where(index < r, -off[:, None] / fwd[:-1], 1.0)[::-1], axis=0)[::-1]
-    right = np.where(index >= r, -off[:, None] / bwd[1:], 1.0)
-    v[1:] *= np.cumprod(right, axis=0)
-    last_sign = np.prod(np.sign(right), axis=0)
     want = (math.copysign(1.0, -math.sin(theta / 2.0)) ** (j.twice - ks)
             * math.copysign(1.0, math.cos(theta / 2.0)) ** ks)
-    rows = np.ascontiguousarray(v.T)
-    # one dot per row, as np.linalg.norm takes it, so a row's bits do not depend on n
-    norms = np.sqrt([row @ row for row in rows])
-    rows *= (want * last_sign / norms)[:, None]
-    return rows
+    index = np.arange(dim - 1)[:, None]
+    out = np.empty((n, dim))
+    for block in _row_blocks(n, dim):
+        f, g = fwd[:, block], bwd[:, block]
+        r = np.argmin(np.abs(f + g - (cm[:, None] - mk[block])), axis=0)
+        # v_i = -(b_i / D+_i) v_{i+1} left of the twist, v_i = -(b_{i-1} / D-_i) v_{i-1}
+        # right of it; ratios on the far side of each row's twist are 1 in the products
+        v = np.ones((dim, len(r)))
+        v[:-1] = np.cumprod(np.where(index < r, -off[:, None] / f[:-1], 1.0)[::-1], axis=0)[::-1]
+        right = np.where(index >= r, -off[:, None] / g[1:], 1.0)
+        v[1:] *= np.cumprod(right, axis=0)
+        rows = out[block]
+        rows[...] = v.T
+        # one dot per row, as np.linalg.norm takes it, so a row's bits do not depend on n
+        norms = np.sqrt([row @ row for row in rows])
+        rows *= (want[block] * np.prod(np.sign(right), axis=0) / norms)[:, None]
+    return out
 
 
 def little_d(j, theta: float) -> np.ndarray:

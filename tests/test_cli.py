@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import exactspin.dynamics
+import exactspin.rotation
 import exactspin.verify
 from exactspin.cli import (
     ALLOWED_KEYS,
@@ -525,3 +526,35 @@ def test_spectrum_block_residuals_match_per_pair_certificates(tmp_path, twice_j)
     ref = [residual_norm(params, HalfInt(twice_j), p) for p in pairs]
     scale = max(1.0, max(abs(p.energy) for p in pairs))
     np.testing.assert_allclose(doc["residual"], ref, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("twice_j,theta,phi", [(45, 1.2, 0.7), (45, math.pi, 0.4),
+                                               (451, 1.2, 0.7)])
+def test_spectrum_does_not_depend_on_the_row_block(tmp_path, monkeypatch, twice_j, theta, phi):
+    # blocks of 3 rows leave a partial last block at dims 46 and 452
+    argv = ["spectrum", f"--j={twice_j}", "--A=0.3,1,-0.2,0.05", f"--theta={theta!r}",
+            f"--phi={phi!r}"]
+    default, small = tmp_path / "default.csv", tmp_path / "small.csv"
+    assert main([*argv, "--out", str(default)]) == EXIT_OK
+    monkeypatch.setattr(exactspin.rotation, "ROW_BLOCK_BYTES", 8 * (twice_j + 1) * 3)
+    assert main([*argv, "--out", str(small)]) == EXIT_OK
+    assert small.read_bytes() == default.read_bytes()
+
+
+def test_table_commands_never_import_verify(tmp_path):
+    # the package resolves verify's names on first use, so only the verify command loads it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactspin.verify.__file__)))
+    out = str(tmp_path / "out.csv")
+    code = ("import sys, exactspin, exactspin.cli\n"
+            "for argv in (['spectrum', '--j=6', '--A=0,1,0.1', '--theta=0.4'],\n"
+            "             ['ground', '--config', 'recipes/fig1a.ini'],\n"
+            "             ['evolve', '--config', 'recipes/fig2.ini']):\n"
+            f"    assert exactspin.cli.main(argv + ['--out', {out!r}]) == 0\n"
+            "print('exactspin.verify' in sys.modules)\n"
+            "print(exactspin.build_report is sys.modules['exactspin.verify'].build_report)\n")
+    result = subprocess.run([sys.executable, "-c", code], cwd=root,
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]

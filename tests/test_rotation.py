@@ -1,12 +1,14 @@
 """Tests for the rotation layer against independent exponential oracles."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
+import exactspin.rotation
 from exactspin import (
     HalfInt,
     RotationAngles,
@@ -19,6 +21,8 @@ from exactspin import (
     rotated_basis_state,
     rotation_matrix,
 )
+from exactspin.cli import main
+from exactspin.rotation import _d_rows
 from exactspin.su2 import _ladder_coeffs_ascending, m_floats
 from exactspin.verify import series_expm
 
@@ -355,3 +359,41 @@ def test_subnormal_theta_gives_the_identity_rows(theta):
         for k in range(twice_j + 1):
             np.testing.assert_allclose(little_d_row(HalfInt(twice_j), theta, k), eye[k],
                                        rtol=0, atol=1e-300)
+
+
+@pytest.mark.parametrize("twice_j", [1, 2, 7, 40, 201])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 0.5])
+def test_row_blocks_give_the_same_bits(monkeypatch, twice_j, block_rows):
+    # each row is finished on its own, so the block it lands in moves no bit; 3 rows
+    # leave a partial last block at dims 2, 8, 41 and 202, and half a row's bytes still
+    # make blocks of one row (at theta = pi the pivmin rule runs)
+    j = HalfInt(twice_j)
+    dim = twice_j + 1
+    thetas = (0.3, 1.4, math.pi, 2.9, 6.2)
+    picks = (np.arange(dim), np.arange(dim)[::-1], np.array([dim - 1, 0, dim // 2]))
+    default = [[_d_rows(j, theta, ks) for ks in picks] for theta in thetas]
+    monkeypatch.setattr(exactspin.rotation, "ROW_BLOCK_BYTES", int(8 * dim * block_rows))
+    for theta, want in zip(thetas, default):
+        for ks, rows in zip(picks, want):
+            assert np.array_equal(_d_rows(j, theta, ks), rows), (theta, ks)
+    for theta in (5e-324, -5e-324):
+        assert np.array_equal(_d_rows(j, theta, picks[0]), np.eye(dim))
+
+
+@pytest.mark.parametrize("command", ["little_d", "spectrum"])
+def test_little_d_and_spectrum_peak_within_24_dim2_and_eight_blocks(tmp_path, command):
+    # the pivots of every row (16 dim^2 bytes) and d itself (8 dim^2) are the floor;
+    # the finishing pass and the residuals add a few blocks, not dim x dim temporaries
+    twice_j = 1000
+    dim = twice_j + 1
+    out = tmp_path / "spectrum.csv"
+    argv = ["spectrum", f"--j={twice_j}", "--A=0.1,1,0.01", "--theta=1.5", "--out", str(out)]
+    main(["spectrum", "--j=4", "--A=0,1", "--theta=1.5", "--out", str(out)])  # warm-up
+    tracemalloc.start()
+    try:
+        little_d(HalfInt(twice_j), 1.5) if command == "little_d" else main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = out.stat().st_size if command == "spectrum" else 0
+    assert peak <= 24 * dim**2 + 8 * exactspin.rotation.ROW_BLOCK_BYTES + output
