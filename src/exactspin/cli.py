@@ -96,12 +96,15 @@ def _write_table(path: str, fmt: str, columns: dict, meta: dict | None = None) -
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key!r} is {value} (float overflow); no output written")
     if fmt == "json":
-        doc = {**meta, **{name: [float(x) for x in col] for name, col in columns.items()}}
+        doc = {**meta, **{name: np.asarray(col, dtype=float).tolist()
+                          for name, col in columns.items()}}
         _write_atomic(path, json.dumps(doc, indent=2) + "\n")
         return
     lines = [f"# {key}={_meta_text(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
-    lines += [",".join(map(_fmt, row)) for row in zip(*columns.values())]
+    # each column formatted once, as _fmt would format each value
+    cols = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns.values()]
+    lines += map(",".join, zip(*cols))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -3,12 +3,15 @@
 The closed form gives every eigenpair without diagonalizing anything:
 energies are the polynomial values E_m and eigenvectors the rotated
 basis states U†|j,m>.  brute_diagonalize is an independent in-house
-parallel-ordered (Brent–Luk) Jacobi eigensolver with inner rotations,
-used to verify that claim; it shares no code path with the closed form.
-It takes one matrix or a stack (..., n, n) in one pass.  Matrices of
-different sizes share a stack zero-padded to the largest: a pad index is
-never rotated, so it adds the eigenvalue 0.0 on its own unit vector and
-leaves every other eigenpair of its matrix with zero pad rows.
+eigensolver used to verify that claim; it shares no code path with the
+closed form and calls no LAPACK.  A Householder reduction (Golub & Van
+Loan, section 8.3) takes each Hermitian matrix to a real symmetric
+tridiagonal, and a parallel-ordered (Brent–Luk) Jacobi with inner
+rotations diagonalizes that in real arithmetic.  It takes one matrix or
+a stack (..., n, n) in one pass.  Matrices of different sizes share a
+stack zero-padded to the largest: a pad index is never rotated, so it
+adds the eigenvalue 0.0 on its own unit vector and leaves every other
+eigenpair of its matrix with zero pad rows.
 
 Ground-state selection follows the quadratic classification (vertex of
 the energy parabola, clamped to the magnetic range), generalized from
@@ -194,25 +197,193 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
+def _tridiagonalize(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder reduction of each Hermitian member of stack (b, n, n).
+
+    Returns (diag, off, qd) of shapes (b, n), (b, n - 1), (b, n, n): qd = Q·D is
+    unitary and qdᴴ·h·qd is the real symmetric tridiagonal with diagonal diag and
+    off-diagonal off >= 0.  Q is the product of the reflectors I - u·uᴴ; a
+    column whose tail below the subdiagonal is exactly zero gets the identity
+    (u = 0).  The diagonal unitary D then turns each subdiagonal entry
+    e_k into |e_k|: its phase chain d_{k+1} = d_k·e_k/|e_k| restarts at 1 after
+    a zero e_k, so a block that is decoupled from the rows above (a zero pad, a
+    block-diagonal input) keeps exactly the basis it had.
+    """
+    b, n, _ = stack.shape
+    a = stack.astype(complex)
+    q = np.zeros((b, n, n), dtype=complex)
+    q[:, np.arange(n), np.arange(n)] = 1.0
+    for k in range(n - 2):
+        x = a[:, k + 1:, k]
+        reflect = np.any(x[:, 1:] != 0.0, axis=1)
+        if not reflect.any():
+            continue
+        x0 = x[:, 0]
+        r0 = np.abs(x0)
+        norm = np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=1))
+        # x -> alpha·e_1 with alpha = -phase(x0)·|x|; v = x - alpha·e_1 adds magnitudes,
+        # and u = v·sqrt(tau) with tau = 2 / |v|^2 = 1 / (|x|·(|x| + |x0|)) makes H = I - u·uᴴ
+        phase = np.where(r0 > 0.0, x0 / np.where(r0 > 0.0, r0, 1.0), 1.0)
+        root_tau = np.where(reflect, 1.0 / np.sqrt(np.where(reflect, norm * (norm + r0), 1.0)), 0.0)
+        u = x * root_tau[:, None]
+        u[:, 0] = phase * (r0 + norm) * root_tau
+        x[:, 0] = np.where(reflect, -phase * norm, x0)
+        # trailing block S <- H·S·H as one rank-2 update S - u·wᴴ - w·uᴴ,
+        # w = S·u - (uᴴ·S·u / 2)·u
+        s = a[:, k + 1:, k + 1:]
+        su = (s @ u[:, :, None])[:, :, 0]
+        w = su - (0.5 * np.sum(u.conj() * su, axis=1))[:, None] * u
+        s -= np.stack((u, w), axis=2) @ np.stack((w.conj(), u.conj()), axis=1)
+        qs = q[:, :, k + 1:]
+        qs -= (qs @ u[:, :, None]) * u.conj()[:, None, :]
+    e = a[:, np.arange(1, n), np.arange(n - 1)]
+    off = np.abs(e)
+    d = np.ones((b, n), dtype=complex)
+    for k in range(n - 1):
+        linked = off[:, k] > 0.0
+        chained = d[:, k] * np.where(linked, e[:, k], 1.0) / np.where(linked, off[:, k], 1.0)
+        d[:, k + 1] = np.where(linked, chained / np.abs(chained), 1.0)
+    return a[:, np.arange(n), np.arange(n)].real, off, q * d[:, None, :]
+
+
+def _seatings(n: int) -> list[np.ndarray]:
+    """The _round_robin(n) rounds as seatings of m = n + n % 2 indices.
+
+    Each round's pairs (p, q) sit on adjacent slots (2i, 2i + 1); for odd n the
+    dummy index n sits last, beside the index it meets this round.
+    """
+    m = n + n % 2
+    seatings = []
+    for p, q in _round_robin(n):
+        seat = np.full(m, n)
+        seat[0:2 * p.size:2] = p
+        seat[1:2 * p.size:2] = q
+        if p.size < m // 2:
+            seat[-2] = n * (n - 1) // 2 - p.sum() - q.sum()
+        seatings.append(seat)
+    return seatings
+
+
+def _jacobi(diag: np.ndarray, off: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parallel-ordered Jacobi on the real symmetric tridiagonals (diag, off) of a stack.
+
+    Returns (w, v): the eigenvalues (b, n) in index order, unsorted, and the
+    real eigenvector columns (b, n, n).  The working array y = [A | Vᵀ] holds
+    each matrix in the seating of the current round, so the round's pairs are
+    adjacent rows; odd n adds the dummy index n as a zero row and column of A.
+    """
+    b, n = diag.shape
+    m = n + n % 2
+    width = m + n
+    seatings = _seatings(n)
+    seat = seatings[0]
+    slots = np.arange(m)
+    p, q = slots[0::2], slots[1::2]
+    # flat offsets in y of each pair's a_pq, a_pp and a_qq
+    pick = np.concatenate((p * width + q, p * width + p, q * width + q))
+    rounds = []
+    for now, then in zip(seatings, seatings[1:] + seatings[:1]):
+        # move takes the rows of this round to the seating of the next one
+        move = np.argsort(now)[then]
+        back = np.argsort(move)
+        # flat offsets in y of the pair entries a_pq, a_qp once the columns have moved
+        rounds.append((move, np.stack((p * width + back[q], q * width + back[p]))))
+    t = np.zeros((b, m, m))
+    t[:, np.arange(n), np.arange(n)] = diag
+    t[:, np.arange(1, n), np.arange(n - 1)] = off
+    t[:, np.arange(n - 1), np.arange(1, n)] = off
+    y = np.concatenate((t[:, seat[:, None], seat], np.broadcast_to(np.eye(m, n)[seat], (b, m, n))),
+                       axis=2)
+    final = np.empty_like(y)
+    live = np.arange(b)
+    for sweep in range(JACOBI_MAX_SWEEPS):
+        sq = y[:, :, :m] ** 2
+        sq[:, slots, slots] = 0.0
+        off_norm = np.sqrt(np.sum(sq, axis=(1, 2)))
+        # a converged matrix leaves the stack (a sweep ends in the seating of
+        # round 0): from here on it would get only identity rotations
+        done = off_norm <= stop[live]
+        final[live[done]] = y[done]
+        live, y, off_norm = live[~done], y[~done], off_norm[~done]
+        if not live.size:
+            break
+        size = live.size
+        # threshold strategy: skip tiny elements in early sweeps
+        thresh = (off_norm / (n * n) if sweep < 3 else np.zeros(size))[:, None]
+        # work buffers, refilled every round
+        g = np.empty((size, m // 2, 2, 2))
+        g4 = g.reshape(size, m // 2, 4)
+        rows = np.empty_like(y)
+        moved = np.empty((size, m, m))
+        at = np.empty((size, m, m))
+        for move, zero in rounds:
+            apq, app, aqq = y.reshape(size, -1)[:, pick].reshape(size, 3, m // 2).swapaxes(0, 1)
+            rot = np.abs(apq) > thresh
+            rotating = rot.any()
+            if rotating:
+                # inner angle: tan(2·angle) = 2·a_pq / (a_pp - a_qq) with |angle| <= pi/4;
+                # a pair below threshold gets angle 0, the identity
+                d = app - aqq
+                angle = 0.5 * np.arctan2(np.where(rot, apq, 0.0) * np.copysign(2.0, d), np.abs(d))
+                c = np.cos(angle)
+                s = np.sin(angle)
+                g4[..., 0::3] = c[..., None]
+                g4[..., 1] = s
+                np.negative(s, out=g4[..., 2])
+                # rows p, q of A and Vᵀ
+                np.matmul(g, y.reshape(size, m // 2, 2, width),
+                          out=rows.reshape(size, m // 2, 2, width))
+            else:
+                rows, y = y, rows
+            # columns p, q of A are rows p, q of its transpose (A stays symmetric),
+            # taken with the columns already in the next round's seating
+            np.take(rows[:, :, :m], move, axis=1, out=moved, mode="clip")
+            np.copyto(at, moved.swapaxes(1, 2))
+            if rotating:
+                np.matmul(g, at.reshape(size, m // 2, 2, m),
+                          out=rows[:, :, :m].reshape(size, m // 2, 2, m))
+                # only rotated pairs get a_pq = a_qp = 0
+                flat = rows.reshape(size, -1)
+                flat[:, zero] = np.where(rot[:, None], 0.0, flat[:, zero])
+            else:
+                rows[:, :, :m] = at
+            # then the rows, into the next round's seating
+            np.take(rows, move, axis=1, out=y, mode="clip")
+    final[live] = y
+    # back to index order from the seating of round 0, the dummy dropped
+    slot_of = np.argsort(seat)[:n]
+    return final[:, slot_of, slot_of], final[:, slot_of, m:].swapaxes(1, 2)
+
+
 def brute_diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parallel-ordered (Brent–Luk) Jacobi with inner rotations (independent oracle).
+    """Householder front end, then parallel-ordered (Brent–Luk) Jacobi (independent oracle).
 
     h is one Hermitian matrix (n, n) or a stack of them (..., n, n); a single
     matrix runs as a stack of one.  Returns (eigenvalues ascending, eigenvector
     columns) with shapes (..., n) and (..., n, n).
 
+    Householder reflections Q and a diagonal unitary D take each matrix to a
+    real symmetric tridiagonal T = (QD)ᴴ·h·QD.  A real Jacobi with inner
+    rotations (|angle| <= pi/4; outer ones about double the sweep count under
+    this ordering) then diagonalizes T, and the eigenvectors are Q·D·V_T.
     Each sweep runs the round-robin ordering: every round annihilates n/2
-    disjoint off-diagonal pairs of every matrix at once with commuting complex
-    Givens rotations, applied as array operations.  Each matrix keeps its own
+    disjoint off-diagonal pairs of every matrix at once.  The working array
+    [A | V_Tᵀ] is kept with each round's pairs on adjacent rows, so the row
+    update is one batched product of (b, m/2, 2, 2) rotations, and the column
+    update is the same product on the transpose of the A part (A stays
+    symmetric); then the rows and A's columns move to the next round's
+    seating, whether or not any pair rotated.  Odd n is padded with an exact
+    zero dummy index that is dropped at the end.  Each matrix keeps its own
     scale, stop and threshold: it stops rotating once its off-diagonal
     Frobenius norm falls below JACOBI_TOL * scale, and within a round its pairs
-    below threshold get the identity rotation.  Rotations are inner (|angle| <=
-    pi/4): under this ordering outer ones about double the sweep count.
+    below threshold get the identity rotation; only rotated pairs are set to
+    zero.  A stack member therefore gets the bits of a call on it alone.
 
-    Zero padding is exact.  A matrix zero-padded to the stack's n pairs every
-    pad index only with a_pq = 0, so no pad index is ever rotated: each pad
-    eigenvalue is exactly 0.0 with the unit vector at its index as eigenvector,
-    and the other eigenvectors have exactly zero pad rows.
+    Zero padding is exact.  Householder leaves the pad rows alone and D
+    restarts its phase at the zero subdiagonal, so a pad index of T meets only
+    a_pq = 0 and is never rotated: each pad eigenvalue is exactly 0.0 with the
+    unit vector at its index as eigenvector, and the other eigenvectors have
+    exactly zero pad rows.
     Deliberately self-contained: no LAPACK, no reuse of the closed form.
     """
     h = np.asarray(h)
@@ -225,67 +396,13 @@ def brute_diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix is not Hermitian to 1e-12 of its magnitude")
     stack = h.reshape(-1, n, n)
     scale = np.max(np.abs(stack), axis=(1, 2), initial=0.0)
-    # row i of y is column i of A, then column i of V: the column rotation that
-    # A and V share is one update of contiguous rows, and only the A half (the
-    # transpose at, at[:, i, k] = a[:, k, i]) takes the row rotation
-    y = np.zeros((stack.shape[0], n, 2 * n), dtype=complex)
-    y[:, :, :n] = stack.swapaxes(1, 2)
-    y[:, :, n:] = np.eye(n)
-    at = y[:, :, :n]
     # quadratic convergence makes the exit off-norm far below this bound;
     # eps*n guards against stalling at the rounding floor of large matrices
     stop = np.maximum(scale, np.finfo(float).tiny) * max(JACOBI_TOL, np.finfo(float).eps * n)
-    diag = np.arange(n)
-    rounds = [(p, q, np.concatenate((p, q)), np.concatenate((q, p))) for p, q in _round_robin(n)]
-    for sweep in range(JACOBI_MAX_SWEEPS):
-        sq = np.abs(at) ** 2
-        sq[:, diag, diag] = 0.0
-        off = np.sqrt(np.sum(sq, axis=(1, 2)))
-        done = off <= stop
-        if done.all():
-            break
-        # threshold strategy: skip tiny elements in early sweeps; a converged
-        # matrix gets an infinite threshold, so nothing rotates it again
-        thresh = np.where(done, np.inf, off / (n * n) if sweep < 3 else 0.0)[:, None]
-        for p, q, pq, qp in rounds:
-            apq = at[:, q, p]
-            r = np.abs(apq)
-            rot = r > thresh
-            if not rot.any():
-                continue
-            # a pair below threshold gets angle 0: c = 1, s = 0, the identity
-            r = np.where(rot, r, 0.0)
-            f = apq / np.where(rot, r, 1.0)
-            d = at[:, p, p].real - at[:, q, q].real
-            angle = 0.5 * np.arctan2(np.copysign(2.0 * r, d), np.abs(d))
-            c = np.cos(angle)
-            sf = np.sin(angle) * f
-            sfc = np.conj(sf)
-            # columns p, q of A and V (rows of y), then rows p, q of A (columns
-            # of at); updating in place spares the temporaries
-            col_p = y[:, p]
-            col_q = y[:, q]
-            new = c[:, :, None] * col_p
-            new += sfc[:, :, None] * col_q
-            y[:, p] = new
-            col_q *= c[:, :, None]
-            col_q -= sf[:, :, None] * col_p
-            y[:, q] = col_q
-            row_p = at[:, :, p]
-            row_q = at[:, :, q]
-            new = c[:, None] * row_p
-            new += sf[:, None] * row_q
-            at[:, :, p] = new
-            row_q *= c[:, None]
-            row_q -= sfc[:, None] * row_p
-            at[:, :, q] = row_q
-            # only rotated pairs get a_pq = a_qp = 0 and a real a_pp, a_qq
-            rot2 = np.concatenate((rot, rot), axis=1)
-            at[:, qp, pq] = np.where(rot2, 0.0, at[:, qp, pq])
-            a_pp = at[:, pq, pq]
-            at[:, pq, pq] = np.where(rot2, a_pp.real, a_pp)
-    w = np.real(at[:, diag, diag])
+    diag, off, qd = _tridiagonalize(stack)
+    w, v_t = _jacobi(diag, off, stop)
     order = np.argsort(w, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
-    v = np.take_along_axis(y[:, :, n:].swapaxes(1, 2), order[:, None, :], axis=2)
+    v_t = np.take_along_axis(v_t, order[:, None, :], axis=2)
+    v = qd.real @ v_t + 1j * (qd.imag @ v_t)
     return w.reshape(h.shape[:-1]), v.reshape(h.shape)

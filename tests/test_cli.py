@@ -558,3 +558,22 @@ def test_table_commands_never_import_verify(tmp_path):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "True"]
+
+
+def test_write_table_gives_the_bytes_of_per_value_formatting(tmp_path):
+    from exactspin.cli import _write_table
+
+    floats = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, 3.0, -2.0, 1e300])
+    ints = np.arange(-3, 5, dtype=np.int64)
+    columns = {"x": floats, "k": ints, "y": list(floats[::-1])}
+    meta = {"twice_j": 4, "theta": 0.1 + 0.2, "flag": True, "label": "t"}
+    # the writer before column formatting: repr(float(x)) per value, row by row
+    rows = [",".join(repr(float(x)) for x in row) for row in zip(*columns.values())]
+    head = ["# twice_j=4.0", f"# theta={0.1 + 0.2!r}", "# flag=true", "# label=t", "x,k,y"]
+    csv_path = tmp_path / "t.csv"
+    _write_table(str(csv_path), "csv", columns, meta)
+    assert csv_path.read_bytes() == ("\n".join(head + rows) + "\n").encode()
+    json_path = tmp_path / "t.json"
+    _write_table(str(json_path), "json", columns, meta)
+    doc = {**meta, **{name: [float(x) for x in col] for name, col in columns.items()}}
+    assert json_path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()

@@ -378,66 +378,3 @@ def test_brute_diagonalize_refuses_an_oversized_view_before_copying():
         tracemalloc.stop()
     assert peak < 1 << 20
 
-
-def _one_matrix_jacobi(h):
-    """The one-matrix loop brute_diagonalize replaced: kept pairs only, A and V apart."""
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
-    stop = scale * max(1e-14, np.finfo(float).eps * n)
-    for sweep in range(60):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off <= stop:
-            break
-        thresh = off / (n * n) if sweep < 3 else 0.0
-        for p, q in _round_robin(n):
-            apq = a[p, q]
-            r = np.abs(apq)
-            keep = r > thresh
-            if not keep.any():
-                continue
-            p, q, apq, r = p[keep], q[keep], apq[keep], r[keep]
-            f = apq / r
-            d = a[p, p].real - a[q, q].real
-            angle = 0.5 * np.arctan2(np.copysign(2.0 * r, d), np.abs(d))
-            c = np.cos(angle)
-            sf = np.sin(angle) * f
-            sfc = np.conj(sf)
-            for m in (a, v):
-                col_p = m[:, p]
-                col_q = m[:, q]
-                m[:, p] = c * col_p + sfc * col_q
-                m[:, q] = -sf * col_p + c * col_q
-            row_p = a[p, :]
-            row_q = a[q, :]
-            a[p, :] = c[:, None] * row_p + sf[:, None] * row_q
-            a[q, :] = -sfc[:, None] * row_p + c[:, None] * row_q
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a[p, p] = a[p, p].real
-            a[q, q] = a[q, q].real
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def test_brute_diagonalize_gives_the_bits_of_the_one_matrix_loop():
-    # same arithmetic per rotated pair, the identity elsewhere: equal, not close
-    rng = np.random.default_rng(45)
-    cases = [_random_hermitian(rng, n, kind) for n in (2, 7, 21) for kind in ("real", "complex")]
-    # rotated models carry rounding-level imaginary parts on the diagonal
-    cases += [model_hamiltonian(ModelParams(order=3, coeffs=(0.2, -1.0, 0.3, 0.05),
-                                            angles=RotationAngles(1.3, 0.6)), HalfInt(twice_j))
-              for twice_j in (4, 20)]
-    cases.append(operator_matrix(HalfInt(8), "Jx"))
-    # a diagonal is made real only where its pair rotates: imaginary parts on
-    # the diagonal (allowed to 1e-12), and a zero pair left out of the first round
-    h = _random_hermitian(rng, 8) + 1j * np.diag(rng.normal(size=8)) * 1e-13
-    h[0, 7] = h[7, 0] = 0.0
-    cases.append(h)
-    for h in cases:
-        w, v = brute_diagonalize(h)
-        w_ref, v_ref = _one_matrix_jacobi(h)
-        assert np.array_equal(w, w_ref)
-        assert np.array_equal(v, v_ref)
