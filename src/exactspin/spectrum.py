@@ -5,13 +5,16 @@ energies are the polynomial values E_m and eigenvectors the rotated
 basis states U†|j,m>.  brute_diagonalize is an independent in-house
 eigensolver used to verify that claim; it shares no code path with the
 closed form and calls no LAPACK.  A Householder reduction (Golub & Van
-Loan, section 8.3) takes each Hermitian matrix to a real symmetric
-tridiagonal, and a parallel-ordered (Brent–Luk) Jacobi with inner
-rotations diagonalizes that in real arithmetic.  It takes one matrix or
+Loan, section 8.3) takes each Hermitian matrix, scaled by an exact power
+of two, to a real symmetric tridiagonal.  Up to _LEAF rows a
+parallel-ordered (Brent–Luk) Jacobi with inner rotations diagonalizes
+that in real arithmetic; a larger one goes to Cuppen's divide and conquer
+(Cuppen 1981), with the same Jacobi on its leaves and Gu–Eisenstat
+eigenvectors in its merges (Gu & Eisenstat 1995).  It takes one matrix or
 a stack (..., n, n) in one pass.  Matrices of different sizes share a
-stack zero-padded to the largest: a pad index is never rotated, so it
-adds the eigenvalue 0.0 on its own unit vector and leaves every other
-eigenpair of its matrix with zero pad rows.
+stack zero-padded to the largest: a pad index is never rotated or mixed,
+so it adds the eigenvalue 0.0 on its own unit vector and leaves every
+other eigenpair of its matrix with zero pad rows.
 
 Ground-state selection follows the quadratic classification (vertex of
 the energy parabola, clamped to the magnetic range), generalized from
@@ -22,6 +25,7 @@ rational arithmetic so degeneracy flags do not depend on float rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +48,11 @@ __all__ = [
 ORACLE_MAX_DIM = 201
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
+# tridiagonals up to this size go to _jacobi whole; larger ones are torn into leaves this small
+_LEAF = 24
+# bisection alone takes a half gap (< 4 after scaling) to 16 ulps of the smallest
+# live offset (~tol²/rho ~ 1e-30) in about 150 halvings
+_SECULAR_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -197,30 +206,33 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _tridiagonalize(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Householder reduction of each Hermitian member of stack (b, n, n).
+def _tridiagonalize(stack: np.ndarray, power=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder reduction of each Hermitian member of stack (b, n, n), times 2**power.
 
-    Returns (diag, off, qd) of shapes (b, n), (b, n - 1), (b, n, n): qd = Q·D is
+    power (one int, or one per member) scales each member exactly before the
+    reduction.  Returns (diag, off, qd) of shapes (b, n), (b, n - 1), (b, n, n): qd = Q·D is
     unitary and qdᴴ·h·qd is the real symmetric tridiagonal with diagonal diag and
     off-diagonal off >= 0.  Q is the product of the reflectors I - u·uᴴ; a
-    column whose tail below the subdiagonal is exactly zero gets the identity
-    (u = 0).  The diagonal unitary D then turns each subdiagonal entry
-    e_k into |e_k|: its phase chain d_{k+1} = d_k·e_k/|e_k| restarts at 1 after
-    a zero e_k, so a block that is decoupled from the rows above (a zero pad, a
-    block-diagonal input) keeps exactly the basis it had.
+    column whose tail below the subdiagonal is exactly zero, or so small that
+    its squares underflow, gets the identity (u = 0).  The diagonal unitary D
+    then turns each subdiagonal entry e_k into |e_k|: its phase chain
+    d_{k+1} = d_k·e_k/|e_k| restarts at 1 after a zero e_k, so a block that is
+    decoupled from the rows above (a zero pad, a block-diagonal input) keeps
+    exactly the basis it had.
     """
     b, n, _ = stack.shape
-    a = stack.astype(complex)
+    a = np.array(stack, dtype=complex, order="C")
+    np.ldexp(a.view(float), np.reshape(power, (-1, 1, 1)), out=a.view(float))
     q = np.zeros((b, n, n), dtype=complex)
     q[:, np.arange(n), np.arange(n)] = 1.0
     for k in range(n - 2):
         x = a[:, k + 1:, k]
-        reflect = np.any(x[:, 1:] != 0.0, axis=1)
+        norm = np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=1))
+        reflect = np.any(x[:, 1:] != 0.0, axis=1) & (norm > 0.0)
         if not reflect.any():
             continue
         x0 = x[:, 0]
         r0 = np.abs(x0)
-        norm = np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=1))
         # x -> alpha·e_1 with alpha = -phase(x0)·|x|; v = x - alpha·e_1 adds magnitudes,
         # and u = v·sqrt(tau) with tau = 2 / |v|^2 = 1 / (|x|·(|x| + |x0|)) makes H = I - u·uᴴ
         phase = np.where(r0 > 0.0, x0 / np.where(r0 > 0.0, r0, 1.0), 1.0)
@@ -238,10 +250,16 @@ def _tridiagonalize(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         qs -= (qs @ u[:, :, None]) * u.conj()[:, None, :]
     e = a[:, np.arange(1, n), np.arange(n - 1)]
     off = np.abs(e)
+    # complex division by a subnormal |e_k| overflows (it takes 1/|e_k|), so such
+    # an e_k and its modulus are first lifted by the exact factor 2^600
+    small = off < np.finfo(float).tiny
+    e_unit = np.where(small, e * 2.0 ** 600, e)
+    off_unit = np.where(small, np.abs(e_unit), off)
     d = np.ones((b, n), dtype=complex)
     for k in range(n - 1):
         linked = off[:, k] > 0.0
-        chained = d[:, k] * np.where(linked, e[:, k], 1.0) / np.where(linked, off[:, k], 1.0)
+        chained = (d[:, k] * np.where(linked, e_unit[:, k], 1.0)
+                   / np.where(linked, off_unit[:, k], 1.0))
         d[:, k + 1] = np.where(linked, chained / np.abs(chained), 1.0)
     return a[:, np.arange(n), np.arange(n)].real, off, q * d[:, None, :]
 
@@ -264,39 +282,58 @@ def _seatings(n: int) -> list[np.ndarray]:
     return seatings
 
 
-def _jacobi(diag: np.ndarray, off: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _jacobi_tables(n: int) -> tuple[np.ndarray, np.ndarray,
+                                    tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """_jacobi's index tables for size n, built once and shared read-only.
+
+    Returns (seat, pick, rounds): the seating of round 0; the flat offsets in
+    y = [A | Vᵀ] of each slot pair's a_pq, a_pp and a_qq; and per round the
+    move taking its rows to the next round's seating with the flat offsets of
+    the pair entries a_pq, a_qp once the columns have moved.
+    """
+    m = n + n % 2
+    width = m + n
+    seatings = _seatings(n)
+    slots = np.arange(m)
+    p, q = slots[0::2], slots[1::2]
+    pick = np.concatenate((p * width + q, p * width + p, q * width + q))
+    rounds = []
+    for now, then in zip(seatings, seatings[1:] + seatings[:1]):
+        move = np.argsort(now)[then]
+        back = np.argsort(move)
+        rounds.append((move, np.stack((p * width + back[q], q * width + back[p]))))
+    tables = [seatings[0], pick, *(t for r in rounds for t in r)]
+    for t in tables:
+        t.flags.writeable = False
+    return seatings[0], pick, tuple(rounds)
+
+
+def _jacobi(diag: np.ndarray, off: np.ndarray, stop: np.ndarray,
+            member: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parallel-ordered Jacobi on the real symmetric tridiagonals (diag, off) of a stack.
 
     Returns (w, v): the eigenvalues (b, n) in index order, unsorted, and the
     real eigenvector columns (b, n, n).  The working array y = [A | Vᵀ] holds
     each matrix in the seating of the current round, so the round's pairs are
     adjacent rows; odd n adds the dummy index n as a zero row and column of A.
+    A matrix whose off-diagonal norm is still above its stop after
+    JACOBI_MAX_SWEEPS sweeps raises RuntimeError, named by member[i] (default i).
     """
     b, n = diag.shape
     m = n + n % 2
-    width = m + n
-    seatings = _seatings(n)
-    seat = seatings[0]
+    seat, pick, rounds = _jacobi_tables(n)
     slots = np.arange(m)
-    p, q = slots[0::2], slots[1::2]
-    # flat offsets in y of each pair's a_pq, a_pp and a_qq
-    pick = np.concatenate((p * width + q, p * width + p, q * width + q))
-    rounds = []
-    for now, then in zip(seatings, seatings[1:] + seatings[:1]):
-        # move takes the rows of this round to the seating of the next one
-        move = np.argsort(now)[then]
-        back = np.argsort(move)
-        # flat offsets in y of the pair entries a_pq, a_qp once the columns have moved
-        rounds.append((move, np.stack((p * width + back[q], q * width + back[p]))))
     t = np.zeros((b, m, m))
     t[:, np.arange(n), np.arange(n)] = diag
     t[:, np.arange(1, n), np.arange(n - 1)] = off
     t[:, np.arange(n - 1), np.arange(1, n)] = off
     y = np.concatenate((t[:, seat[:, None], seat], np.broadcast_to(np.eye(m, n)[seat], (b, m, n))),
                        axis=2)
+    width = m + n
     final = np.empty_like(y)
     live = np.arange(b)
-    for sweep in range(JACOBI_MAX_SWEEPS):
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         sq = y[:, :, :m] ** 2
         sq[:, slots, slots] = 0.0
         off_norm = np.sqrt(np.sum(sq, axis=(1, 2)))
@@ -307,6 +344,12 @@ def _jacobi(diag: np.ndarray, off: np.ndarray, stop: np.ndarray) -> tuple[np.nda
         live, y, off_norm = live[~done], y[~done], off_norm[~done]
         if not live.size:
             break
+        if sweep == JACOBI_MAX_SWEEPS:
+            i = live[0]
+            name = i if member is None else member[i]
+            raise RuntimeError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps: "
+                               f"member {name} has off-diagonal norm {off_norm[0]:.3e} "
+                               f"> stop {stop[i]:.3e}")
         size = live.size
         # threshold strategy: skip tiny elements in early sweeps
         thresh = (off_norm / (n * n) if sweep < 3 else np.zeros(size))[:, None]
@@ -349,23 +392,250 @@ def _jacobi(diag: np.ndarray, off: np.ndarray, stop: np.ndarray) -> tuple[np.nda
                 rows[:, :, :m] = at
             # then the rows, into the next round's seating
             np.take(rows, move, axis=1, out=y, mode="clip")
-    final[live] = y
     # back to index order from the seating of round 0, the dummy dropped
     slot_of = np.argsort(seat)[:n]
     return final[:, slot_of, slot_of], final[:, slot_of, m:].swapaxes(1, 2)
 
 
+def _tree(n: int) -> list[list[tuple[int, int]]]:
+    """The tearing tree of a size-n tridiagonal: its nodes (start, stop) by depth, root first.
+
+    A node larger than _LEAF is torn at its midpoint into the two nodes of the
+    next depth; the others are leaves.
+    """
+    levels = [[(0, n)]]
+    while any(stop - start > _LEAF for start, stop in levels[-1]):
+        levels.append([half for start, stop in levels[-1] if stop - start > _LEAF
+                       for half in ((start, (start + stop) // 2), ((start + stop) // 2, stop))])
+    return levels
+
+
+def _deflate(d, z, q, rho):
+    """Sort the poles of D + rho·z·zᵀ (rho >= 0) and deflate them, for each item of a batch.
+
+    d, z (B, N) and q (B, N, N) are permuted together so that d ascends.  Type 1:
+    an entry with rho·|z_i| <= tol leaves the secular equation as it is.  Type 2:
+    of two live poles whose gap times c·s falls below tol, a Givens rotation of
+    their columns of q moves all of z onto the upper one and the lower one
+    deflates.  Pairs are taken by the parity of their rank among the live
+    entries, so each round's rotations are disjoint, until both parities find
+    nothing.  Returns (d, z, q, live).
+    """
+    order = np.argsort(d, axis=1, kind="stable")
+    d = np.take_along_axis(d, order, axis=1)
+    z = np.take_along_axis(z, order, axis=1)
+    q = np.take_along_axis(q, order[:, None, :], axis=2)
+    b, n = d.shape
+    tol = 8.0 * np.finfo(float).eps * np.maximum(np.max(np.abs(d), axis=1),
+                                                 rho * np.max(np.abs(z), axis=1))
+    live = rho[:, None] * np.abs(z) > tol[:, None]
+    cols = np.arange(n)
+    parity, quiet = 0, 0
+    while quiet < 2:
+        # the previous live index of each entry, and each entry's rank among the live ones
+        below = np.maximum.accumulate(np.where(live, cols, -1), axis=1)
+        prev = np.concatenate((np.full((b, 1), -1), below[:, :-1]), axis=1)
+        rank = np.cumsum(live, axis=1)
+        bi, ji = np.nonzero(live & (prev >= 0) & (rank % 2 == parity))
+        pi = prev[bi, ji]
+        zj, zp = z[bi, ji], z[bi, pi]
+        tau = np.hypot(zj, zp)
+        c, s = zj / tau, -zp / tau
+        dj, dp = d[bi, ji], d[bi, pi]
+        go = np.abs((dj - dp) * c * s) <= tol[bi]
+        parity ^= 1
+        if not go.any():
+            quiet += 1
+            continue
+        quiet = 0
+        bi, ji, pi, c, s, dj, dp = (x[go] for x in (bi, ji, pi, c, s, dj, dp))
+        z[bi, ji] = tau[go]
+        z[bi, pi] = 0.0
+        live[bi, pi] = False
+        d[bi, pi] = dp * c * c + dj * s * s
+        d[bi, ji] = dp * s * s + dj * c * c
+        qp, qj = q[bi, :, pi], q[bi, :, ji]
+        q[bi, :, pi] = c[:, None] * qp + s[:, None] * qj
+        q[bi, :, ji] = c[:, None] * qj - s[:, None] * qp
+    return d, z, q, live
+
+
+def _secular(d, z, rho, live):
+    """Roots of 1 + rho·sum_k z_k²/(d_k - λ) over the live poles, one per live pole.
+
+    d ascends and its live entries are distinct.  The root of live pole j lies
+    between it and the next live pole (the last one's below d_j + rho·|z|²).
+    Each root is found as an offset delta from the nearer of its two poles,
+    chosen by the sign of the function at the middle of the gap, so that the
+    differences d_k - λ = (d_k - origin) - delta keep their relative accuracy
+    however close λ is to a pole.  delta takes Newton steps on the pole-free
+
+        phi = (origin - λ)·f
+            = rho·z_o² - delta·(1 + rho·sum_{k != o} z_k²/(d_k - origin - delta)),
+
+    or a bisection of its bracket where a step would leave it.  A root is
+    done once its step is below 4 ulps of delta, or its bracket below 16:
+    the test is relative to delta, not to λ, which would end the search for
+    a root next to a pole long before delta has any digits.  A converged
+    root stays put while the others go on.  Returns (origin index, delta,
+    next live index), all (B, N) and meaningful at live entries.
+    """
+    b, n = d.shape
+    eps = np.finfo(float).eps
+    rows, cols = np.arange(b)[:, None], np.arange(n)
+    ahead = np.minimum.accumulate(np.where(live, cols, n)[:, ::-1], axis=1)[:, ::-1]
+    nxt = np.concatenate((ahead[:, 1:], np.full((b, 1), n)), axis=1)
+    last = live & (nxt == n)
+    inner = live & ~last
+    gap = np.where(inner, d[rows, np.minimum(nxt, n - 1)] - d, 0.0)
+    zsq = np.where(live, z * z, 0.0)
+    rho = rho[:, None]
+    # sign of f at the middle of each gap: f >= 0 puts the root in its lower half
+    pair = inner[:, :, None] & live[:, None, :]
+    mid = np.divide(zsq[:, None, :], d[:, None, :] - d[:, :, None] - 0.5 * gap[:, :, None],
+                    out=np.zeros(pair.shape), where=pair)
+    upper = inner & (1.0 + rho * mid.sum(axis=2) < 0.0)
+    origin = np.where(upper, nxt, cols)
+    shift = d[:, None, :] - d[rows, origin][:, :, None]  # d_k - d_origin(j) at [., j, k]
+    others = live[:, :, None] & live[:, None, :] & (cols[None, None, :] != origin[:, :, None])
+    weight = np.where(others, zsq[:, None, :], 0.0)
+    z_origin = zsq[rows, origin]
+    sign = np.where(upper, -1.0, 1.0)
+    lo = np.where(upper, -0.5 * gap, 0.0)
+    hi = np.where(upper, 0.0, np.where(last, rho * zsq.sum(axis=1, keepdims=True), 0.5 * gap))
+    delta = np.zeros((b, n))
+    active = live.copy()
+    for _ in range(_SECULAR_MAX_STEPS):
+        inv = np.divide(1.0, shift - delta[:, :, None], out=np.zeros(others.shape), where=others)
+        terms = weight * inv
+        g = 1.0 + rho * terms.sum(axis=2)
+        phi = rho * z_origin - delta * g
+        dphi = -g - delta * rho * (terms * inv).sum(axis=2)
+        # phi has the sign of the lower bracket end below the root
+        lo = np.where(active & (sign * phi > 0.0), delta, lo)
+        hi = np.where(active & (sign * phi < 0.0), delta, hi)
+        step = np.divide(phi, dphi, out=np.full((b, n), np.nan), where=dphi != 0.0)
+        new = delta - step
+        # a step below 4 ulps is taken as it is, even onto a bracket end; a
+        # bracket of 16 ulps ends the search where rounding makes phi's sign noise
+        small = np.abs(step) <= 4.0 * eps * np.abs(new)
+        new = np.where(small | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
+        done = small | (hi - lo <= 16.0 * eps * np.abs(new))
+        delta = np.where(active, new, delta)
+        active &= ~done
+        if not active.any():
+            return origin, delta, nxt
+    raise RuntimeError(f"secular equation unsolved after {_SECULAR_MAX_STEPS} steps")
+
+
+def _merge(d1, q1, d2, q2, rho):
+    """Eigensystems of the tridiagonals diag(T1, T2) + rho·u·uᵀ from those of T1 and T2.
+
+    (d1, q1) and (d2, q2) are the eigenvalues (B, k), (B, N - k) and
+    eigenvector columns of each item's two halves, and u = e_{k-1} + e_k, so
+    the merged matrix is Q·(D + rho·z·zᵀ)·Qᵀ with Q = diag(q1, q2) and z = Qᵀu.
+    After deflation, Gu–Eisenstat's ẑ (the z whose D + rho·ẑ·ẑᵀ has exactly the
+    computed roots) gives eigenvectors ẑ_i/(d_i - λ_j) that are orthogonal to
+    working accuracy, and Q times them is one matmul.  Returns (w, v) of shapes
+    (B, N) and (B, N, N): the eigenvalues unsorted, each live root at the place
+    of its lower pole.
+    """
+    b, k = d1.shape
+    n = k + d2.shape[1]
+    q = np.zeros((b, n, n))
+    q[:, :k, :k] = q1
+    q[:, k:, k:] = q2
+    d, z, q, live = _deflate(np.concatenate((d1, d2), axis=1),
+                             np.concatenate((q1[:, -1], q2[:, 0]), axis=1), q, rho)
+    origin, delta, nxt = _secular(d, z, rho, live)
+    rows, cols = np.arange(b)[:, None], np.arange(n)
+    pair = live[:, :, None] & live[:, None, :]
+    # lam_d[., i, j] = λ_j - d_i, from the origin of root j
+    lam_d = delta[:, None, :] - (d[:, :, None] - d[rows, origin][:, None, :])
+    # ẑ_i² = prod_j (λ_j - d_i) / (rho·prod_{k != i} (d_k - d_i)), each root paired with
+    # the pole next to it on d_i's side, so that every ratio but the last lies in (0, 1)
+    last = live & (nxt == n)
+    beside = np.where(cols[None, None, :] < cols[None, :, None], d[:, None, :],
+                      d[rows, np.minimum(nxt, n - 1)][:, None, :]) - d[:, :, None]
+    beside = np.where(last[:, None, :], rho[:, None, None], beside)
+    ratio = np.divide(lam_d, beside, out=np.ones(pair.shape), where=pair)
+    zhat = np.copysign(np.sqrt(np.prod(ratio, axis=2)), z)
+    u = np.divide(zhat[:, :, None], -lam_d, out=np.zeros(pair.shape), where=pair)
+    u /= np.where(live, np.sqrt(np.sum(u * u, axis=1)), 1.0)[:, None, :]
+    u = np.where(pair, u, np.eye(n))
+    w = np.where(live, d[rows, origin] + delta, d)
+    return w, q @ u
+
+
+def _divide_conquer(diag: np.ndarray, off: np.ndarray,
+                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cuppen's divide and conquer on the real symmetric tridiagonals (diag, off) of a stack.
+
+    Returns (w, v) as _jacobi does.  Every node of _tree(n) larger than _LEAF is
+    torn at its midpoint m: T = diag(T1, T2) + beta·u·uᵀ with beta = off[m - 1]
+    and u = e_{m-1} + e_m, beta subtracted from the two diagonal entries it
+    touches.  The leaves of every member, torn, go to _jacobi in one call per
+    leaf size; then each depth is merged from the bottom up, one batched
+    _merge per node size.  All members share the tree, so a member's leaves and
+    merges see only its own entries.
+    """
+    b, n = diag.shape
+    levels = _tree(n)
+    # leaves converge to the deflation tolerance of the merges, not to
+    # JACOBI_TOL: a leaf whose couplings all sit below 1e-14 must still rotate
+    leaf_stop = 8.0 * np.finfo(float).eps * scale
+    tears = [(start + stop) // 2 for level in levels for start, stop in level
+             if stop - start > _LEAF]
+    torn = diag.copy()
+    for mid in tears:
+        torn[:, mid - 1:mid + 1] -= off[:, mid - 1:mid]
+    solved = {}
+
+    def keep(group, w, v):
+        # results arrive member-major, (b·len(group), ...)
+        w, v = w.reshape(b, len(group), *w.shape[1:]), v.reshape(b, len(group), *v.shape[1:])
+        for i, node in enumerate(group):
+            solved[node] = w[:, i], v[:, i]
+
+    def gather(nodes, item):
+        return np.stack([solved[node][item] for node in nodes], axis=1).reshape(
+            b * len(nodes), *solved[nodes[0]][item].shape[1:])
+
+    for level in reversed(levels):
+        for size in sorted({stop - start for start, stop in level}):
+            group = [(start, stop) for start, stop in level if stop - start == size]
+            if size <= _LEAF:
+                at = np.array([np.arange(start, stop) for start, stop in group])
+                keep(group, *_jacobi(torn[:, at].reshape(-1, size),
+                                     off[:, at[:, :-1]].reshape(-1, size - 1),
+                                     np.repeat(leaf_stop, len(group)),
+                                     np.repeat(np.arange(b), len(group))))
+                continue
+            mids = [(start + stop) // 2 for start, stop in group]
+            lower = [(start, mid) for (start, _), mid in zip(group, mids)]
+            upper = [(mid, stop) for (_, stop), mid in zip(group, mids)]
+            keep(group, *_merge(gather(lower, 0), gather(lower, 1), gather(upper, 0),
+                                gather(upper, 1), off[:, np.array(mids) - 1].reshape(-1)))
+    return solved[(0, n)]
+
+
 def brute_diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder front end, then parallel-ordered (Brent–Luk) Jacobi (independent oracle).
+    """Householder front end, then Jacobi or divide and conquer (independent oracle).
 
     h is one Hermitian matrix (n, n) or a stack of them (..., n, n); a single
     matrix runs as a stack of one.  Returns (eigenvalues ascending, eigenvector
     columns) with shapes (..., n) and (..., n, n).
 
+    Each member is first multiplied by the exact power of two that brings its
+    largest |entry| to [1, 2), and its eigenvalues are divided by it at the
+    end.  In the normal range that changes no bit; it keeps squares of
+    entries near 1e308 finite and subnormal entries out of the rounding.
     Householder reflections Q and a diagonal unitary D take each matrix to a
-    real symmetric tridiagonal T = (QD)ᴴ·h·QD.  A real Jacobi with inner
-    rotations (|angle| <= pi/4; outer ones about double the sweep count under
-    this ordering) then diagonalizes T, and the eigenvectors are Q·D·V_T.
+    real symmetric tridiagonal T = (QD)ᴴ·h·QD, and the eigenvectors are
+    Q·D·V_T.
+
+    For n <= _LEAF a real Jacobi with inner rotations (|angle| <= pi/4; outer
+    ones about double the sweep count under this ordering) diagonalizes T.
     Each sweep runs the round-robin ordering: every round annihilates n/2
     disjoint off-diagonal pairs of every matrix at once.  The working array
     [A | V_Tᵀ] is kept with each round's pairs on adjacent rows, so the row
@@ -377,13 +647,23 @@ def brute_diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale, stop and threshold: it stops rotating once its off-diagonal
     Frobenius norm falls below JACOBI_TOL * scale, and within a round its pairs
     below threshold get the identity rotation; only rotated pairs are set to
-    zero.  A stack member therefore gets the bits of a call on it alone.
+    zero.  A matrix still above its stop after JACOBI_MAX_SWEEPS raises
+    RuntimeError.
+
+    For n > _LEAF, T is torn at midpoints into rank-one-coupled halves down
+    to leaves of at most _LEAF rows (_divide_conquer).  The same Jacobi
+    solves all leaves of a size in one call, and each merge deflates, solves
+    its secular equation by safeguarded Newton steps on the offset from the
+    nearer pole, and builds Gu–Eisenstat eigenvectors in one matmul.  Every
+    member shares the tree and each step is elementwise or per member, so on
+    either path a stack member gets the bits of a call on it alone.
 
     Zero padding is exact.  Householder leaves the pad rows alone and D
     restarts its phase at the zero subdiagonal, so a pad index of T meets only
-    a_pq = 0 and is never rotated: each pad eigenvalue is exactly 0.0 with the
-    unit vector at its index as eigenvector, and the other eigenvectors have
-    exactly zero pad rows.
+    a_pq = 0 and is never rotated, and in every merge a pad's entry of z is
+    exactly zero, so it deflates and passes through untouched.  Each pad
+    eigenvalue is exactly 0.0 with the unit vector at its index as
+    eigenvector, and the other eigenvectors have exactly zero pad rows.
     Deliberately self-contained: no LAPACK, no reuse of the closed form.
     """
     h = np.asarray(h)
@@ -396,13 +676,20 @@ def brute_diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix is not Hermitian to 1e-12 of its magnitude")
     stack = h.reshape(-1, n, n)
     scale = np.max(np.abs(stack), axis=(1, 2), initial=0.0)
-    # quadratic convergence makes the exit off-norm far below this bound;
-    # eps*n guards against stalling at the rounding floor of large matrices
-    stop = np.maximum(scale, np.finfo(float).tiny) * max(JACOBI_TOL, np.finfo(float).eps * n)
-    diag, off, qd = _tridiagonalize(stack)
-    w, v_t = _jacobi(diag, off, stop)
+    # an exact power of two takes each member to max|entry| in [1, 2), clear of
+    # overflow and of subnormals; in the normal range it changes no bit
+    power = 1 - np.frexp(scale)[1]
+    scale = np.ldexp(scale, power)
+    diag, off, qd = _tridiagonalize(stack, power)
+    if n <= _LEAF:
+        # quadratic convergence makes the exit off-norm far below this bound;
+        # eps*n guards against stalling at the rounding floor of large matrices
+        stop = np.maximum(scale, np.finfo(float).tiny) * max(JACOBI_TOL, np.finfo(float).eps * n)
+        w, v_t = _jacobi(diag, off, stop)
+    else:
+        w, v_t = _divide_conquer(diag, off, scale)
     order = np.argsort(w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
+    w = np.ldexp(np.take_along_axis(w, order, axis=1), -power[:, None])
     v_t = np.take_along_axis(v_t, order[:, None, :], axis=2)
     v = qd.real @ v_t + 1j * (qd.imag @ v_t)
     return w.reshape(h.shape[:-1]), v.reshape(h.shape)
