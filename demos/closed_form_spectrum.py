@@ -1,8 +1,8 @@
 """Demo: a rotated Jz-polynomial model is solved without diagonalizing anything.
 
 Builds a cubic model at j = 9/2, lists the closed-form eigenpairs, then
-confronts them with the in-house Jacobi eigensolver, which knows nothing
-about the construction.
+confronts them with the in-house divide-and-conquer eigensolver, which
+knows nothing about the construction.
 """
 
 import numpy as np
@@ -38,5 +38,5 @@ h = model_hamiltonian(params, j)
 oracle, _ = brute_diagonalize(h)
 closed = np.sort([pair.energy for pair in pairs])
 print()
-print(f"Jacobi oracle vs closed form, worst gap: {np.max(np.abs(oracle - closed)):.3e}")
+print(f"oracle vs closed form, worst gap: {np.max(np.abs(oracle - closed)):.3e}")
 print("the spectrum is the polynomial values E_m; eigenvectors are rotated Dicke states")

@@ -2,11 +2,13 @@
 
 Configs are INI files (key = value, one section per concern).  Each value
 flag but --config and --threads sets the config key its dest names
-('section.key'), and a given flag overrides the file.  Outputs are CSV or
-JSON written atomically (temp file + rename), with shortest round-trip
-float formatting and '\n' line endings so identical inputs give
-byte-identical files.  Exit codes: 0 success, 2 config validation error,
-3 numerical check failure (verify), 4 I/O error.
+('section.key'), and a given flag overrides the file.  A command reads only
+its own sections: spectrum and ground [model] and [output], evolve those and
+[evolve], verify [verify] and [output] path; any other section or key exits
+2.  Outputs are CSV or JSON written atomically (temp file + rename), with
+shortest round-trip float formatting and '\n' line endings so identical
+inputs give byte-identical files.  Exit codes: 0 success, 2 config
+validation error, 3 numerical check failure (verify), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -46,12 +48,19 @@ EVOLVE_MAX_BYTES = 1 << 30
 # evolve paths are O(dim) but share the cap
 DENSE_MAX_BYTES = 1 << 32
 
-ALLOWED_KEYS = {
-    "model": {"twice_j", "coeffs", "theta", "phi"},
-    "output": {"path", "format"},
-    "evolve": {"t_min", "t_max", "num_points", "initial", "include_printed_formula"},
-    "verify": {"max_twice_j", "draws", "seed"},
+_MODEL = {"twice_j", "coeffs", "theta", "phi"}
+_OUTPUT = {"path", "format"}
+# the config sections and keys each command reads; anything else exits 2
+_COMMAND_KEYS = {
+    "spectrum": {"model": _MODEL, "output": _OUTPUT},
+    "ground": {"model": _MODEL, "output": _OUTPUT},
+    "evolve": {"model": _MODEL, "output": _OUTPUT,
+               "evolve": {"t_min", "t_max", "num_points", "initial", "include_printed_formula"}},
+    "verify": {"verify": {"max_twice_j", "draws", "seed"}, "output": {"path"}},
 }
+# every key some command reads, by section
+ALLOWED_KEYS = {section: set().union(*(keys.get(section, ()) for keys in _COMMAND_KEYS.values()))
+                for section in ("model", "output", "evolve", "verify")}
 
 
 class ConfigError(Exception):
@@ -182,7 +191,20 @@ def _build_model(config: dict) -> tuple[ModelParams, HalfInt]:
     return params, HalfInt(twice_j)
 
 
-def _output_target(config: dict, default_name: str) -> tuple[str, str]:
+def _refuse_unread(config: dict, command: str) -> None:
+    """Raise ConfigError (exit 2) on any section or key that command does not read.
+
+    The table commands call this once the model has passed its size check, so
+    that check keeps its own message."""
+    for section, values in config.items():
+        unread = set(values) - _COMMAND_KEYS[command].get(section, set())
+        if unread:
+            raise ConfigError(f"{command} does not read [{section}] "
+                              f"{', '.join(sorted(unread))}")
+
+
+def _output_target(config: dict, default_name: str, command: str) -> tuple[str, str]:
+    _refuse_unread(config, command)
     section = config.get("output", {})
     path = section.get("path") or default_name
     fmt = (section.get("format") or "csv").lower()
@@ -227,7 +249,7 @@ def _parse_initial(spec: str, params: ModelParams, j: HalfInt) -> EigenbasisStat
 
 def cmd_spectrum(config: dict) -> int:
     params, j = _build_model(config)
-    path, fmt = _output_target(config, "spectrum.csv")
+    path, fmt = _output_target(config, "spectrum.csv", "spectrum")
     energies = energy_values(params, j)
     # eigenvector k is row k of d times e^{-i phi m_k}; that phase has modulus one and
     # drops out of ||H v - E v||, so real Horner products on blocks of d^T give every
@@ -245,7 +267,7 @@ def cmd_spectrum(config: dict) -> int:
 
 def cmd_ground(config: dict) -> int:
     params, j = _build_model(config)
-    path, fmt = _output_target(config, "ground.csv")
+    path, fmt = _output_target(config, "ground.csv", "ground")
     result = ground_state(params, j)
     meta = {"m0": result.m0.value, "energy": result.pair.energy,
             "degenerate": result.degenerate, "method": result.method}
@@ -256,7 +278,7 @@ def cmd_ground(config: dict) -> int:
 
 def cmd_evolve(config: dict) -> int:
     params, j = _build_model(config)
-    path, fmt = _output_target(config, "evolve.csv")
+    path, fmt = _output_target(config, "evolve.csv", "evolve")
     section = config.get("evolve", {})
     if not section:
         raise ConfigError("evolve requires an [evolve] config section")
@@ -286,6 +308,7 @@ def cmd_evolve(config: dict) -> int:
 
 
 def cmd_verify(config: dict) -> int:
+    _refuse_unread(config, "verify")
     section = config.get("verify", {})
     max_twice_j = _get(section, "max_twice_j", int, default=24)
     draws = _get(section, "draws", int, default=40)

@@ -6,15 +6,15 @@ basis states U†|j,m>.  brute_diagonalize is an independent in-house
 eigensolver used to verify that claim; it shares no code path with the
 closed form and calls no LAPACK.  A Householder reduction (Golub & Van
 Loan, section 8.3) takes each Hermitian matrix, scaled by an exact power
-of two, to a real symmetric tridiagonal.  Up to _LEAF rows a
-parallel-ordered (Brent–Luk) Jacobi with inner rotations diagonalizes
-that in real arithmetic; a larger one goes to Cuppen's divide and conquer
-(Cuppen 1981), with the same Jacobi on its leaves and Gu–Eisenstat
-eigenvectors in its merges (Gu & Eisenstat 1995).  It takes one matrix or
-a stack (..., n, n) in one pass.  Matrices of different sizes share a
-stack zero-padded to the largest: a pad index is never rotated or mixed,
-so it adds the eigenvalue 0.0 on its own unit vector and leaves every
-other eigenpair of its matrix with zero pad rows.
+of two, to a real symmetric tridiagonal, and Cuppen's divide and conquer
+(Cuppen 1981) tears that down to 1×1 leaves and merges them back: a
+secular equation per merge, solved by R.-C. Li's middle way (LAPACK
+Working Note 89) until a step is below 4 ulps of the root's offset from
+its pole, and Gu–Eisenstat eigenvectors (Gu & Eisenstat 1995).  It takes
+one matrix or a stack (..., n, n) in one pass.  Matrices of different
+sizes share a stack zero-padded to the largest: a pad index is never
+coupled or mixed, so it adds the eigenvalue 0.0 on its own unit vector
+and leaves every other eigenpair of its matrix with zero pad rows.
 
 Ground-state selection follows the quadratic classification (vertex of
 the energy parabola, clamped to the magnetic range), generalized from
@@ -25,7 +25,6 @@ rational arithmetic so degeneracy flags do not depend on float rounding.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,10 +45,6 @@ __all__ = [
 ]
 
 ORACLE_MAX_DIM = 201
-JACOBI_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 60
-# tridiagonals up to this size go to _jacobi whole; larger ones are torn into leaves this small
-_LEAF = 24
 # bisection alone takes a half gap (< 4 after scaling) to 16 ulps of the smallest
 # live offset (~tol²/rho ~ 1e-30) in about 150 halvings
 _SECULAR_MAX_STEPS = 200
@@ -186,26 +181,6 @@ def residual_norm(params: ModelParams, j, pair: EigenPair) -> float:
     return float(np.linalg.norm(hv - pair.energy * pair.vector))
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One sweep of the round-robin (tournament) ordering as (p, q) rounds.
-
-    Every pair p < q appears exactly once per sweep, and the pairs of one
-    round are disjoint: n - 1 rounds of n/2 pairs for even n.  Odd n is
-    padded with a dummy index n whose pairs are dropped.
-    """
-    m = n + n % 2
-    players = np.arange(m)
-    rounds = []
-    for _ in range(m - 1):
-        left, right = players[:m // 2], players[::-1][:m // 2]
-        p, q = np.minimum(left, right), np.maximum(left, right)
-        keep = q < n
-        rounds.append((p[keep], q[keep]))
-        # index 0 stays put; the others move one seat round the table
-        players = np.concatenate(([0], np.roll(players[1:], 1)))
-    return rounds
-
-
 def _tridiagonalize(stack: np.ndarray, power=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Householder reduction of each Hermitian member of stack (b, n, n), times 2**power.
 
@@ -223,312 +198,253 @@ def _tridiagonalize(stack: np.ndarray, power=0) -> tuple[np.ndarray, np.ndarray,
     b, n, _ = stack.shape
     a = np.array(stack, dtype=complex, order="C")
     np.ldexp(a.view(float), np.reshape(power, (-1, 1, 1)), out=a.view(float))
-    q = np.zeros((b, n, n), dtype=complex)
-    q[:, np.arange(n), np.arange(n)] = 1.0
+    # the reflector of each step: u for k at reflectors[:, k, k + 1:]
+    reflectors = np.zeros((b, n, n), dtype=complex)
+    # [u | w] and [w̄ | ū]ᵀ of each step, for the rank-2 update as one product
+    uw = np.empty((b, n, 2), dtype=complex)
+    wu = np.empty((b, 2, n), dtype=complex)
     for k in range(n - 2):
+        m = n - k - 1
         x = a[:, k + 1:, k]
-        norm = np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=1))
-        reflect = np.any(x[:, 1:] != 0.0, axis=1) & (norm > 0.0)
+        sq = x.real ** 2 + x.imag ** 2
+        reflect = np.add.reduce(sq[:, 1:], axis=1) > 0.0
         if not reflect.any():
             continue
+        norm = np.sqrt(np.add.reduce(sq, axis=1))
         x0 = x[:, 0]
         r0 = np.abs(x0)
         # x -> alpha·e_1 with alpha = -phase(x0)·|x|; v = x - alpha·e_1 adds magnitudes,
         # and u = v·sqrt(tau) with tau = 2 / |v|^2 = 1 / (|x|·(|x| + |x0|)) makes H = I - u·uᴴ
-        phase = np.where(r0 > 0.0, x0 / np.where(r0 > 0.0, r0, 1.0), 1.0)
-        root_tau = np.where(reflect, 1.0 / np.sqrt(np.where(reflect, norm * (norm + r0), 1.0)), 0.0)
-        u = x * root_tau[:, None]
+        phase = np.divide(x0, r0, out=np.ones(b, dtype=complex), where=r0 > 0.0)
+        root_tau = np.divide(1.0, np.sqrt(norm * (norm + r0)), out=np.zeros(b), where=reflect)
+        u, w, u_bar = uw[:, :m, 0], uw[:, :m, 1], wu[:, 1, :m]
+        np.multiply(x, root_tau[:, None], out=u)
         u[:, 0] = phase * (r0 + norm) * root_tau
         x[:, 0] = np.where(reflect, -phase * norm, x0)
+        np.conjugate(u, out=u_bar)
         # trailing block S <- H·S·H as one rank-2 update S - u·wᴴ - w·uᴴ,
         # w = S·u - (uᴴ·S·u / 2)·u
         s = a[:, k + 1:, k + 1:]
         su = (s @ u[:, :, None])[:, :, 0]
-        w = su - (0.5 * np.sum(u.conj() * su, axis=1))[:, None] * u
-        s -= np.stack((u, w), axis=2) @ np.stack((w.conj(), u.conj()), axis=1)
-        qs = q[:, :, k + 1:]
-        qs -= (qs @ u[:, :, None]) * u.conj()[:, None, :]
+        np.subtract(su, (0.5 * np.add.reduce(u_bar * su, axis=1))[:, None] * u, out=w)
+        np.conjugate(w, out=wu[:, 0, :m])
+        s -= uw[:, :m] @ wu[:, :, :m]
+        reflectors[:, k, k + 1:] = u
+    # Q = H_0·H_1···, built from the last reflector back: H_k only touches the
+    # block of rows and columns after k, where the product of the later ones lives
+    q = np.zeros((b, n, n), dtype=complex)
+    q[:, np.arange(n), np.arange(n)] = 1.0
+    for k in range(n - 3, -1, -1):
+        u = reflectors[:, k, k + 1:]
+        block = q[:, k + 1:, k + 1:]
+        block -= u[:, :, None] * (u.conj()[:, None, :] @ block)
     e = a[:, np.arange(1, n), np.arange(n - 1)]
     off = np.abs(e)
     # complex division by a subnormal |e_k| overflows (it takes 1/|e_k|), so such
     # an e_k and its modulus are first lifted by the exact factor 2^600
-    small = off < np.finfo(float).tiny
-    e_unit = np.where(small, e * 2.0 ** 600, e)
-    off_unit = np.where(small, np.abs(e_unit), off)
+    lifted = np.where(off < np.finfo(float).tiny, e * 2.0 ** 600, e)
+    linked = off > 0.0
+    unit = np.divide(lifted, np.abs(lifted), out=np.ones_like(e), where=linked)
     d = np.ones((b, n), dtype=complex)
     for k in range(n - 1):
-        linked = off[:, k] > 0.0
-        chained = (d[:, k] * np.where(linked, e_unit[:, k], 1.0)
-                   / np.where(linked, off_unit[:, k], 1.0))
-        d[:, k + 1] = np.where(linked, chained / np.abs(chained), 1.0)
+        chained = d[:, k] * unit[:, k]
+        d[:, k + 1] = np.where(linked[:, k], chained / np.abs(chained), 1.0)
     return a[:, np.arange(n), np.arange(n)].real, off, q * d[:, None, :]
-
-
-def _seatings(n: int) -> list[np.ndarray]:
-    """The _round_robin(n) rounds as seatings of m = n + n % 2 indices.
-
-    Each round's pairs (p, q) sit on adjacent slots (2i, 2i + 1); for odd n the
-    dummy index n sits last, beside the index it meets this round.
-    """
-    m = n + n % 2
-    seatings = []
-    for p, q in _round_robin(n):
-        seat = np.full(m, n)
-        seat[0:2 * p.size:2] = p
-        seat[1:2 * p.size:2] = q
-        if p.size < m // 2:
-            seat[-2] = n * (n - 1) // 2 - p.sum() - q.sum()
-        seatings.append(seat)
-    return seatings
-
-
-@functools.lru_cache(maxsize=None)
-def _jacobi_tables(n: int) -> tuple[np.ndarray, np.ndarray,
-                                    tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """_jacobi's index tables for size n, built once and shared read-only.
-
-    Returns (seat, pick, rounds): the seating of round 0; the flat offsets in
-    y = [A | Vᵀ] of each slot pair's a_pq, a_pp and a_qq; and per round the
-    move taking its rows to the next round's seating with the flat offsets of
-    the pair entries a_pq, a_qp once the columns have moved.
-    """
-    m = n + n % 2
-    width = m + n
-    seatings = _seatings(n)
-    slots = np.arange(m)
-    p, q = slots[0::2], slots[1::2]
-    pick = np.concatenate((p * width + q, p * width + p, q * width + q))
-    rounds = []
-    for now, then in zip(seatings, seatings[1:] + seatings[:1]):
-        move = np.argsort(now)[then]
-        back = np.argsort(move)
-        rounds.append((move, np.stack((p * width + back[q], q * width + back[p]))))
-    tables = [seatings[0], pick, *(t for r in rounds for t in r)]
-    for t in tables:
-        t.flags.writeable = False
-    return seatings[0], pick, tuple(rounds)
-
-
-def _jacobi(diag: np.ndarray, off: np.ndarray, stop: np.ndarray,
-            member: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Parallel-ordered Jacobi on the real symmetric tridiagonals (diag, off) of a stack.
-
-    Returns (w, v): the eigenvalues (b, n) in index order, unsorted, and the
-    real eigenvector columns (b, n, n).  The working array y = [A | Vᵀ] holds
-    each matrix in the seating of the current round, so the round's pairs are
-    adjacent rows; odd n adds the dummy index n as a zero row and column of A.
-    A matrix whose off-diagonal norm is still above its stop after
-    JACOBI_MAX_SWEEPS sweeps raises RuntimeError, named by member[i] (default i).
-    """
-    b, n = diag.shape
-    m = n + n % 2
-    seat, pick, rounds = _jacobi_tables(n)
-    slots = np.arange(m)
-    t = np.zeros((b, m, m))
-    t[:, np.arange(n), np.arange(n)] = diag
-    t[:, np.arange(1, n), np.arange(n - 1)] = off
-    t[:, np.arange(n - 1), np.arange(1, n)] = off
-    y = np.concatenate((t[:, seat[:, None], seat], np.broadcast_to(np.eye(m, n)[seat], (b, m, n))),
-                       axis=2)
-    width = m + n
-    final = np.empty_like(y)
-    live = np.arange(b)
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        sq = y[:, :, :m] ** 2
-        sq[:, slots, slots] = 0.0
-        off_norm = np.sqrt(np.sum(sq, axis=(1, 2)))
-        # a converged matrix leaves the stack (a sweep ends in the seating of
-        # round 0): from here on it would get only identity rotations
-        done = off_norm <= stop[live]
-        final[live[done]] = y[done]
-        live, y, off_norm = live[~done], y[~done], off_norm[~done]
-        if not live.size:
-            break
-        if sweep == JACOBI_MAX_SWEEPS:
-            i = live[0]
-            name = i if member is None else member[i]
-            raise RuntimeError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps: "
-                               f"member {name} has off-diagonal norm {off_norm[0]:.3e} "
-                               f"> stop {stop[i]:.3e}")
-        size = live.size
-        # threshold strategy: skip tiny elements in early sweeps
-        thresh = (off_norm / (n * n) if sweep < 3 else np.zeros(size))[:, None]
-        # work buffers, refilled every round
-        g = np.empty((size, m // 2, 2, 2))
-        g4 = g.reshape(size, m // 2, 4)
-        rows = np.empty_like(y)
-        moved = np.empty((size, m, m))
-        at = np.empty((size, m, m))
-        for move, zero in rounds:
-            apq, app, aqq = y.reshape(size, -1)[:, pick].reshape(size, 3, m // 2).swapaxes(0, 1)
-            rot = np.abs(apq) > thresh
-            rotating = rot.any()
-            if rotating:
-                # inner angle: tan(2·angle) = 2·a_pq / (a_pp - a_qq) with |angle| <= pi/4;
-                # a pair below threshold gets angle 0, the identity
-                d = app - aqq
-                angle = 0.5 * np.arctan2(np.where(rot, apq, 0.0) * np.copysign(2.0, d), np.abs(d))
-                c = np.cos(angle)
-                s = np.sin(angle)
-                g4[..., 0::3] = c[..., None]
-                g4[..., 1] = s
-                np.negative(s, out=g4[..., 2])
-                # rows p, q of A and Vᵀ
-                np.matmul(g, y.reshape(size, m // 2, 2, width),
-                          out=rows.reshape(size, m // 2, 2, width))
-            else:
-                rows, y = y, rows
-            # columns p, q of A are rows p, q of its transpose (A stays symmetric),
-            # taken with the columns already in the next round's seating
-            np.take(rows[:, :, :m], move, axis=1, out=moved, mode="clip")
-            np.copyto(at, moved.swapaxes(1, 2))
-            if rotating:
-                np.matmul(g, at.reshape(size, m // 2, 2, m),
-                          out=rows[:, :, :m].reshape(size, m // 2, 2, m))
-                # only rotated pairs get a_pq = a_qp = 0
-                flat = rows.reshape(size, -1)
-                flat[:, zero] = np.where(rot[:, None], 0.0, flat[:, zero])
-            else:
-                rows[:, :, :m] = at
-            # then the rows, into the next round's seating
-            np.take(rows, move, axis=1, out=y, mode="clip")
-    # back to index order from the seating of round 0, the dummy dropped
-    slot_of = np.argsort(seat)[:n]
-    return final[:, slot_of, slot_of], final[:, slot_of, m:].swapaxes(1, 2)
 
 
 def _tree(n: int) -> list[list[tuple[int, int]]]:
     """The tearing tree of a size-n tridiagonal: its nodes (start, stop) by depth, root first.
 
-    A node larger than _LEAF is torn at its midpoint into the two nodes of the
-    next depth; the others are leaves.
+    A node of two or more rows is torn at its midpoint into the two nodes of
+    the next depth; the 1×1 nodes are the leaves.
     """
     levels = [[(0, n)]]
-    while any(stop - start > _LEAF for start, stop in levels[-1]):
-        levels.append([half for start, stop in levels[-1] if stop - start > _LEAF
+    while any(stop - start > 1 for start, stop in levels[-1]):
+        levels.append([half for start, stop in levels[-1] if stop - start > 1
                        for half in ((start, (start + stop) // 2), ((start + stop) // 2, stop))])
     return levels
 
 
-def _deflate(d, z, q, rho):
+def _deflate(d, z, rho):
     """Sort the poles of D + rho·z·zᵀ (rho >= 0) and deflate them, for each item of a batch.
 
-    d, z (B, N) and q (B, N, N) are permuted together so that d ascends.  Type 1:
-    an entry with rho·|z_i| <= tol leaves the secular equation as it is.  Type 2:
-    of two live poles whose gap times c·s falls below tol, a Givens rotation of
-    their columns of q moves all of z onto the upper one and the lower one
-    deflates.  Pairs are taken by the parity of their rank among the live
-    entries, so each round's rotations are disjoint, until both parities find
-    nothing.  Returns (d, z, q, live).
+    d and z (B, N) are permuted together so that d ascends.  Type 1: an entry
+    with rho·|z_i| <= tol leaves the secular equation as it is.  Type 2: of two
+    live poles whose gap times c·s falls below tol, a Givens rotation moves
+    all of z onto the upper one and the lower one deflates.  Each round
+    rotates the pairs of one parity of rank among the live entries, so its
+    rotations are disjoint, and the parity alternates until no pair
+    qualifies.  Returns (d, z, live, order, turns): order is the sort, and
+    turns lists each round's rotations (item, lower, upper, c, s), which act
+    on the sorted eigenvector columns as columns p, j <- c·p + s·j, c·j - s·p.
     """
-    order = np.argsort(d, axis=1, kind="stable")
-    d = np.take_along_axis(d, order, axis=1)
-    z = np.take_along_axis(z, order, axis=1)
-    q = np.take_along_axis(q, order[:, None, :], axis=2)
     b, n = d.shape
+    rows, cols = np.arange(b)[:, None], np.arange(n)
+    order = np.argsort(d, axis=1, kind="stable")
+    d, z = d[rows, order], z[rows, order]
     tol = 8.0 * np.finfo(float).eps * np.maximum(np.max(np.abs(d), axis=1),
                                                  rho * np.max(np.abs(z), axis=1))
     live = rho[:, None] * np.abs(z) > tol[:, None]
-    cols = np.arange(n)
-    parity, quiet = 0, 0
-    while quiet < 2:
+    turns = []
+    parity = 0
+    while True:
         # the previous live index of each entry, and each entry's rank among the live ones
         below = np.maximum.accumulate(np.where(live, cols, -1), axis=1)
         prev = np.concatenate((np.full((b, 1), -1), below[:, :-1]), axis=1)
-        rank = np.cumsum(live, axis=1)
-        bi, ji = np.nonzero(live & (prev >= 0) & (rank % 2 == parity))
+        bi, ji = np.nonzero(live & (prev >= 0))
         pi = prev[bi, ji]
         zj, zp = z[bi, ji], z[bi, pi]
         tau = np.hypot(zj, zp)
         c, s = zj / tau, -zp / tau
         dj, dp = d[bi, ji], d[bi, pi]
         go = np.abs((dj - dp) * c * s) <= tol[bi]
-        parity ^= 1
         if not go.any():
-            quiet += 1
-            continue
-        quiet = 0
+            break
+        # of the pairs that deflate, those of one parity of rank are disjoint
+        go &= np.cumsum(live, axis=1)[bi, ji] % 2 == parity
+        parity ^= 1
         bi, ji, pi, c, s, dj, dp = (x[go] for x in (bi, ji, pi, c, s, dj, dp))
         z[bi, ji] = tau[go]
         z[bi, pi] = 0.0
         live[bi, pi] = False
         d[bi, pi] = dp * c * c + dj * s * s
         d[bi, ji] = dp * s * s + dj * c * c
-        qp, qj = q[bi, :, pi], q[bi, :, ji]
-        q[bi, :, pi] = c[:, None] * qp + s[:, None] * qj
-        q[bi, :, ji] = c[:, None] * qj - s[:, None] * qp
-    return d, z, q, live
+        turns.append((bi, pi, ji, c, s))
+    return d, z, live, order, turns
 
 
-def _secular(d, z, rho, live):
+def _rational_root(a, b, c, sign):
+    """The root of c·x² - a·x + b that a root's two nearest poles p < q leave it.
+
+    For a root between p and q (sign 1) that is (a - sqrt)/(2c); for the last
+    root, above both (sign -1), it is (a + sqrt)/(2c).  Each is taken in the
+    form that adds terms of one sign.
+    """
+    root = sign * np.sqrt(np.abs(a * a - 4.0 * b * c))
+    stable = a * sign > 0.0
+    return np.where(stable, 2.0 * b, a - root) / np.where(stable, a + root, 2.0 * c)
+
+
+def _secular(d, z, rho, live, member=None):
     """Roots of 1 + rho·sum_k z_k²/(d_k - λ) over the live poles, one per live pole.
 
     d ascends and its live entries are distinct.  The root of live pole j lies
     between it and the next live pole (the last one's below d_j + rho·|z|²).
-    Each root is found as an offset delta from the nearer of its two poles,
-    chosen by the sign of the function at the middle of the gap, so that the
-    differences d_k - λ = (d_k - origin) - delta keep their relative accuracy
-    however close λ is to a pole.  delta takes Newton steps on the pole-free
-
-        phi = (origin - λ)·f
-            = rho·z_o² - delta·(1 + rho·sum_{k != o} z_k²/(d_k - origin - delta)),
-
-    or a bisection of its bracket where a step would leave it.  A root is
-    done once its step is below 4 ulps of delta, or its bracket below 16:
-    the test is relative to delta, not to λ, which would end the search for
-    a root next to a pole long before delta has any digits.  A converged
-    root stays put while the others go on.  Returns (origin index, delta,
-    next live index), all (B, N) and meaningful at live entries.
+    Its two nearest poles p < q are its own and the next, or for the last
+    root the one before and its own.  Each root is found as an offset delta
+    from an origin pole, so that the differences d_k - λ = (d_k - origin) - delta
+    keep their relative accuracy however close λ is to a pole: the nearer of
+    p and q, chosen by the sign of the function at the middle of the gap, and
+    for the last root its own pole.  The first delta solves the quadratic
+    that p and q leave once every other pole is frozen at the middle of the
+    bracket.  Then each step takes R.-C. Li's middle way (the method of
+    LAPACK's dlaed4, _rational_root), and a step that would leave the bracket
+    bisects it.  A root is done once its step is below 4 ulps of delta, or
+    its bracket below 16: the test is relative to delta, not to λ, which would
+    end the search for a root next to a pole long before delta has any
+    digits.  The roots are solved as one flat list that a root leaves once
+    done, so each root's steps see only its own item.  A root still open
+    after _SECULAR_MAX_STEPS raises RuntimeError, named by its item's
+    member[i] (default i).  Returns (origin index, delta, next live index),
+    all (B, N) and meaningful at live entries.
     """
     b, n = d.shape
     eps = np.finfo(float).eps
-    rows, cols = np.arange(b)[:, None], np.arange(n)
+    cols = np.arange(n)
     ahead = np.minimum.accumulate(np.where(live, cols, n)[:, ::-1], axis=1)[:, ::-1]
     nxt = np.concatenate((ahead[:, 1:], np.full((b, 1), n)), axis=1)
-    last = live & (nxt == n)
-    inner = live & ~last
-    gap = np.where(inner, d[rows, np.minimum(nxt, n - 1)] - d, 0.0)
-    zsq = np.where(live, z * z, 0.0)
-    rho = rho[:, None]
-    # sign of f at the middle of each gap: f >= 0 puts the root in its lower half
-    pair = inner[:, :, None] & live[:, None, :]
-    mid = np.divide(zsq[:, None, :], d[:, None, :] - d[:, :, None] - 0.5 * gap[:, :, None],
-                    out=np.zeros(pair.shape), where=pair)
-    upper = inner & (1.0 + rho * mid.sum(axis=2) < 0.0)
-    origin = np.where(upper, nxt, cols)
-    shift = d[:, None, :] - d[rows, origin][:, :, None]  # d_k - d_origin(j) at [., j, k]
-    others = live[:, :, None] & live[:, None, :] & (cols[None, None, :] != origin[:, :, None])
-    weight = np.where(others, zsq[:, None, :], 0.0)
-    z_origin = zsq[rows, origin]
-    sign = np.where(upper, -1.0, 1.0)
-    lo = np.where(upper, -0.5 * gap, 0.0)
-    hi = np.where(upper, 0.0, np.where(last, rho * zsq.sum(axis=1, keepdims=True), 0.5 * gap))
+    behind = np.maximum.accumulate(np.where(live, cols, -1), axis=1)
+    # one row per root: its item's poles (inf where not live) and weights rho·z²
+    item, own = np.nonzero(live)
+    roots = np.arange(item.size)
+    poles = np.where(live, d, np.inf)[item]
+    weight = np.where(live, rho[:, None] * z * z, 0.0)[item]
+    reach = np.add.reduce(weight, axis=1)
+    last = nxt[item, own] == n
+    p = np.where(last, np.where(own > 0, behind[item, own - 1], -1), own)
+    q = np.where(last, own, nxt[item, own])
+    # a lone live pole gets a weightless partner one reach below it
+    d_q = poles[roots, q]
+    d_p = np.where(p < 0, d_q - reach, poles[roots, p])
+    w_p = np.where(p < 0, 0.0, weight[roots, p])
+    w_q = weight[roots, q]
+    # the bracket of each root, from its own pole: half the gap, or the reach
+    half = 0.5 * np.where(last, reach, d_q - d_p)
+    middle = d[item, own] + half
+    # the far poles frozen at the middle; f ascends between poles, so f(middle) < 0
+    # puts the root of an inner pole in the upper half of its gap
+    near = (cols == p[:, None]) | (cols == q[:, None])
+    far = 1.0 + np.add.reduce(np.where(near, 0.0, weight) / (poles - middle[:, None]), axis=1)
+    f_mid = far + w_p / (d_p - middle) + w_q / (d_q - middle)
+    upper = ~last & (f_mid < 0.0)
+    top = last & (f_mid < 0.0)
+    o = np.where(upper, q, own)
+    # (lo, hi]: lo is a pole or a point where f < 0, and a root may sit on hi
+    # (the middle, or the reach), except on an upper origin's pole, kept out
+    # by the largest negative float
+    state = np.stack((np.zeros(item.size),
+                      np.where(upper, -half, np.where(top, half, 0.0)),
+                      np.where(upper, -np.finfo(float).smallest_subnormal,
+                               np.where(top, 2.0 * half, half)),
+                      np.where(upper, -2.0 * half, np.where(last, d_p - d_q, 0.0)),
+                      np.where(upper | last, 0.0, 2.0 * half),
+                      np.where(last, -1.0, 1.0)), axis=1)
+    delta_r, lo, hi, ends, sign = state[:, 0], state[:, 1], state[:, 2], state[:, 3:5], state[:, 5]
+    # per root: d_k - d_origin (inf where not live), and the weights at k <= p and at k >= q
+    below = np.where(cols <= p[:, None], weight, 0.0)
+    rows = np.stack((poles - poles[roots, o][:, None], below, weight - below), axis=1)
+    found = np.empty(item.size)
+    # a degenerate model divides by zero; its inf or nan fails the bracket test
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the quadratic far + w_p/(s_p - delta) + w_q/(s_q - delta) = 0 (s_p·s_q = 0)
+        s_p, s_q = ends[:, 0], ends[:, 1]
+        guess = _rational_root(far * (s_p + s_q) + w_p + w_q, w_p * s_q + w_q * s_p, far, sign)
+        delta_r[:] = np.where((guess > lo) & (guess <= hi), guess, 0.5 * (lo + hi))
+        for _ in range(_SECULAR_MAX_STEPS):
+            if not roots.size:
+                break
+            delta_r, lo, hi, ends, sign = (state[:, 0], state[:, 1], state[:, 2], state[:, 3:5],
+                                           state[:, 5])
+            inv = 1.0 / (rows[:, 0] - delta_r[:, None])
+            terms = rows[:, 1:] * inv[:, None, :]
+            f = 1.0 + np.add.reduce(terms, axis=(1, 2))
+            slope = np.add.reduce(terms * inv[:, None, :], axis=2)
+            # f ascends: below its root f < 0
+            np.copyto(lo, delta_r, where=f < 0.0)
+            np.copyto(hi, delta_r, where=f > 0.0)
+            # the middle way: c + s/(d_p - λ - x) + S/(d_q - λ - x), with s and S the
+            # slopes of the sums over k <= p and k >= q times gap², matches f and its
+            # slope at λ; its root x solves c·x² - a·x + b = 0
+            gap = ends - delta_r[:, None]
+            fit = f[:, None] - gap * slope
+            step = _rational_root(np.add.reduce(gap * fit[:, ::-1], axis=1),
+                                  np.multiply.reduce(gap, axis=1) * f,
+                                  fit[:, 0] - gap[:, 1] * slope[:, 1], sign)
+            new = delta_r + step
+            # a step below 4 ulps is taken as it is, even onto a bracket end; a
+            # bracket of 16 ulps ends the search where rounding makes f's sign noise
+            four_ulps = 4.0 * eps * np.abs(new)
+            small = np.abs(step) <= four_ulps
+            new = np.where(small | ((new > lo) & (new <= hi)), new, 0.5 * (lo + hi))
+            done = small | (hi - lo <= 4.0 * four_ulps)
+            delta_r[:] = new
+            if done.any():
+                found[roots[done]] = new[done]
+                keep = ~done
+                rows, state, roots = rows[keep], state[keep], roots[keep]
+    if roots.size:
+        r = roots[0]
+        name = item[r] if member is None else member[item[r]]
+        raise RuntimeError(f"secular equation unsolved after {_SECULAR_MAX_STEPS} steps: "
+                           f"member {name}, root {own[r]} of a {n}-row merge")
+    origin = np.broadcast_to(cols, (b, n)).copy()
+    origin[item, own] = o
     delta = np.zeros((b, n))
-    active = live.copy()
-    for _ in range(_SECULAR_MAX_STEPS):
-        inv = np.divide(1.0, shift - delta[:, :, None], out=np.zeros(others.shape), where=others)
-        terms = weight * inv
-        g = 1.0 + rho * terms.sum(axis=2)
-        phi = rho * z_origin - delta * g
-        dphi = -g - delta * rho * (terms * inv).sum(axis=2)
-        # phi has the sign of the lower bracket end below the root
-        lo = np.where(active & (sign * phi > 0.0), delta, lo)
-        hi = np.where(active & (sign * phi < 0.0), delta, hi)
-        step = np.divide(phi, dphi, out=np.full((b, n), np.nan), where=dphi != 0.0)
-        new = delta - step
-        # a step below 4 ulps is taken as it is, even onto a bracket end; a
-        # bracket of 16 ulps ends the search where rounding makes phi's sign noise
-        small = np.abs(step) <= 4.0 * eps * np.abs(new)
-        new = np.where(small | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
-        done = small | (hi - lo <= 16.0 * eps * np.abs(new))
-        delta = np.where(active, new, delta)
-        active &= ~done
-        if not active.any():
-            return origin, delta, nxt
-    raise RuntimeError(f"secular equation unsolved after {_SECULAR_MAX_STEPS} steps")
+    delta[item, own] = found
+    return origin, delta, nxt
 
 
-def _merge(d1, q1, d2, q2, rho):
+def _merge(d1, q1, d2, q2, rho, member=None):
     """Eigensystems of the tridiagonals diag(T1, T2) + rho·u·uᵀ from those of T1 and T2.
 
     (d1, q1) and (d2, q2) are the eigenvalues (B, k), (B, N - k) and
@@ -536,18 +452,16 @@ def _merge(d1, q1, d2, q2, rho):
     the merged matrix is Q·(D + rho·z·zᵀ)·Qᵀ with Q = diag(q1, q2) and z = Qᵀu.
     After deflation, Gu–Eisenstat's ẑ (the z whose D + rho·ẑ·ẑᵀ has exactly the
     computed roots) gives eigenvectors ẑ_i/(d_i - λ_j) that are orthogonal to
-    working accuracy, and Q times them is one matmul.  Returns (w, v) of shapes
+    working accuracy.  The deflation's rotations and sort are undone on their
+    rows, so Q times them is one matmul per half.  Returns (w, v) of shapes
     (B, N) and (B, N, N): the eigenvalues unsorted, each live root at the place
-    of its lower pole.
+    of its lower pole.  member names the items in _secular's error.
     """
     b, k = d1.shape
     n = k + d2.shape[1]
-    q = np.zeros((b, n, n))
-    q[:, :k, :k] = q1
-    q[:, k:, k:] = q2
-    d, z, q, live = _deflate(np.concatenate((d1, d2), axis=1),
-                             np.concatenate((q1[:, -1], q2[:, 0]), axis=1), q, rho)
-    origin, delta, nxt = _secular(d, z, rho, live)
+    d, z, live, order, turns = _deflate(np.concatenate((d1, d2), axis=1),
+                                        np.concatenate((q1[:, -1], q2[:, 0]), axis=1), rho)
+    origin, delta, nxt = _secular(d, z, rho, live, member)
     rows, cols = np.arange(b)[:, None], np.arange(n)
     pair = live[:, :, None] & live[:, None, :]
     # lam_d[., i, j] = λ_j - d_i, from the origin of root j
@@ -563,64 +477,73 @@ def _merge(d1, q1, d2, q2, rho):
     u = np.divide(zhat[:, :, None], -lam_d, out=np.zeros(pair.shape), where=pair)
     u /= np.where(live, np.sqrt(np.sum(u * u, axis=1)), 1.0)[:, None, :]
     u = np.where(pair, u, np.eye(n))
+    # the eigenvectors are diag(q1, q2)·P·G·u, with P the sort and G the rotations
+    for bi, pi, ji, c, s in reversed(turns):
+        up, uj = u[bi, pi], u[bi, ji]
+        u[bi, pi], u[bi, ji] = c[:, None] * up - s[:, None] * uj, s[:, None] * up + c[:, None] * uj
+    pu = np.empty_like(u)
+    pu[rows, order] = u
     w = np.where(live, d[rows, origin] + delta, d)
-    return w, q @ u
+    return w, np.concatenate((q1 @ pu[:, :k], q2 @ pu[:, k:]), axis=1)
 
 
-def _divide_conquer(diag: np.ndarray, off: np.ndarray,
-                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _divide_conquer(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cuppen's divide and conquer on the real symmetric tridiagonals (diag, off) of a stack.
 
-    Returns (w, v) as _jacobi does.  Every node of _tree(n) larger than _LEAF is
-    torn at its midpoint m: T = diag(T1, T2) + beta·u·uᵀ with beta = off[m - 1]
-    and u = e_{m-1} + e_m, beta subtracted from the two diagonal entries it
-    touches.  The leaves of every member, torn, go to _jacobi in one call per
-    leaf size; then each depth is merged from the bottom up, one batched
-    _merge per node size.  All members share the tree, so a member's leaves and
-    merges see only its own entries.
+    Returns (w, v): the eigenvalues (b, n) unsorted and the real eigenvector
+    columns (b, n, n).  Every node of _tree(n) is torn at its midpoint m:
+    T = diag(T1, T2) + beta·u·uᵀ with beta = off[m - 1] and u = e_{m-1} + e_m, beta
+    subtracted from the two diagonal entries it touches.  That tears every
+    coupling once, so a 1×1 leaf is its torn diagonal entry with eigenvector 1.
+    Then each depth is merged from the bottom up in one batched _merge.  The
+    nodes of a depth differ by at most one row, so a node one row short gets
+    a pad: a sentinel index n outside every matrix, with eigenvalue 0.0 and
+    unit eigenvector, at the start of a short lower half or the end of a short
+    upper one.  Its entry of z is zero, so it deflates and comes back as it
+    went in, and its column is put back on the sentinel.  w and v hold every
+    node's solution in its own rows (v block diagonal).  All members share the
+    tree, so a member's merges see only its own entries.
     """
     b, n = diag.shape
-    levels = _tree(n)
-    # leaves converge to the deflation tolerance of the merges, not to
-    # JACOBI_TOL: a leaf whose couplings all sit below 1e-14 must still rotate
-    leaf_stop = 8.0 * np.finfo(float).eps * scale
-    tears = [(start + stop) // 2 for level in levels for start, stop in level
-             if stop - start > _LEAF]
-    torn = diag.copy()
-    for mid in tears:
-        torn[:, mid - 1:mid + 1] -= off[:, mid - 1:mid]
-    solved = {}
-
-    def keep(group, w, v):
-        # results arrive member-major, (b·len(group), ...)
-        w, v = w.reshape(b, len(group), *w.shape[1:]), v.reshape(b, len(group), *v.shape[1:])
-        for i, node in enumerate(group):
-            solved[node] = w[:, i], v[:, i]
-
-    def gather(nodes, item):
-        return np.stack([solved[node][item] for node in nodes], axis=1).reshape(
-            b * len(nodes), *solved[nodes[0]][item].shape[1:])
-
-    for level in reversed(levels):
-        for size in sorted({stop - start for start, stop in level}):
-            group = [(start, stop) for start, stop in level if stop - start == size]
-            if size <= _LEAF:
-                at = np.array([np.arange(start, stop) for start, stop in group])
-                keep(group, *_jacobi(torn[:, at].reshape(-1, size),
-                                     off[:, at[:, :-1]].reshape(-1, size - 1),
-                                     np.repeat(leaf_stop, len(group)),
-                                     np.repeat(np.arange(b), len(group))))
-                continue
-            mids = [(start + stop) // 2 for start, stop in group]
-            lower = [(start, mid) for (start, _), mid in zip(group, mids)]
-            upper = [(mid, stop) for (_, stop), mid in zip(group, mids)]
-            keep(group, *_merge(gather(lower, 0), gather(lower, 1), gather(upper, 0),
-                                gather(upper, 1), off[:, np.array(mids) - 1].reshape(-1)))
-    return solved[(0, n)]
+    w = np.zeros((b, n + 1))
+    w[:, :n] = diag
+    w[:, :n - 1] -= off
+    w[:, 1:n] -= off
+    v = np.zeros((b, n + 1, n + 1))
+    v[:, np.arange(n + 1), np.arange(n + 1)] = 1.0
+    members = np.arange(b)[:, None]
+    for level in reversed(_tree(n)):
+        nodes = [(start, (start + stop) // 2, stop) for start, stop in level if stop - start > 1]
+        if not nodes:
+            continue
+        size = max(stop - start for start, _, stop in nodes)
+        k = size // 2
+        # each node's rows, a short lower half padded at its start, a short upper one at its end
+        at = np.array([[n] * (k - (mid - start)) + list(range(start, stop))
+                       + [n] * (size - k - (stop - mid)) for start, mid, stop in nodes])
+        groups = len(nodes)
+        parts = [x for rows in (at[:, :k], at[:, k:]) for x in (
+            w[:, rows].reshape(b * groups, -1),
+            v[:, rows[:, :, None], rows[:, None, :]].reshape(b * groups, rows.shape[1], -1))]
+        rho = off[:, [mid - 1 for _, mid, _ in nodes]].reshape(-1)
+        w_at, v_at = _merge(*parts, rho, np.repeat(np.arange(b), groups))
+        w_at, v_at = w_at.reshape(b, groups, size), v_at.reshape(b, groups, size, size)
+        # columns back to slots: the pad's column (the unit vector on its row) to
+        # the sentinel, the others in order to the node's own rows
+        pad = at == n
+        pad_row = v_at[:, np.arange(groups), np.argmax(pad, axis=1)]
+        pad_col = np.where(pad.any(axis=1), np.argmax(pad_row, axis=2), size)[:, :, None]
+        ranks = np.arange(size)
+        own_rows = np.sort(at, axis=1)  # the sentinel sorts last
+        slots = np.where(ranks == pad_col, n,
+                         own_rows[np.arange(groups)[:, None], ranks - (ranks > pad_col)])
+        w[members[:, :, None], slots] = w_at
+        v[members[:, :, None, None], at[None, :, :, None], slots[:, :, None, :]] = v_at
+    return w[:, :n], v[:, :n, :n]
 
 
 def brute_diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder front end, then Jacobi or divide and conquer (independent oracle).
+    """Householder front end, then divide and conquer (independent oracle).
 
     h is one Hermitian matrix (n, n) or a stack of them (..., n, n); a single
     matrix runs as a stack of one.  Returns (eigenvalues ascending, eigenvector
@@ -634,37 +557,25 @@ def brute_diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     real symmetric tridiagonal T = (QD)ᴴ·h·QD, and the eigenvectors are
     Q·D·V_T.
 
-    For n <= _LEAF a real Jacobi with inner rotations (|angle| <= pi/4; outer
-    ones about double the sweep count under this ordering) diagonalizes T.
-    Each sweep runs the round-robin ordering: every round annihilates n/2
-    disjoint off-diagonal pairs of every matrix at once.  The working array
-    [A | V_Tᵀ] is kept with each round's pairs on adjacent rows, so the row
-    update is one batched product of (b, m/2, 2, 2) rotations, and the column
-    update is the same product on the transpose of the A part (A stays
-    symmetric); then the rows and A's columns move to the next round's
-    seating, whether or not any pair rotated.  Odd n is padded with an exact
-    zero dummy index that is dropped at the end.  Each matrix keeps its own
-    scale, stop and threshold: it stops rotating once its off-diagonal
-    Frobenius norm falls below JACOBI_TOL * scale, and within a round its pairs
-    below threshold get the identity rotation; only rotated pairs are set to
-    zero.  A matrix still above its stop after JACOBI_MAX_SWEEPS raises
-    RuntimeError.
-
-    For n > _LEAF, T is torn at midpoints into rank-one-coupled halves down
-    to leaves of at most _LEAF rows (_divide_conquer).  The same Jacobi
-    solves all leaves of a size in one call, and each merge deflates, solves
-    its secular equation by safeguarded Newton steps on the offset from the
-    nearer pole, and builds Gu–Eisenstat eigenvectors in one matmul.  Every
-    member shares the tree and each step is elementwise or per member, so on
-    either path a stack member gets the bits of a call on it alone.
+    Cuppen's divide and conquer (_divide_conquer) tears T at midpoints into
+    rank-one-coupled halves all the way down to 1×1 leaves, whose eigenpairs
+    are their torn diagonal entries and 1.  Each merge deflates, solves its
+    secular equation for every root at once as an offset from a pole: a first
+    guess from the quadratic of the two nearest poles, then R.-C. Li's middle
+    way (rational) steps inside a bisection bracket, until a step is below 4
+    ulps of the offset or the bracket below 16.  Gu–Eisenstat eigenvectors
+    then come from a matmul per half.  Every member shares the tree and each
+    step is elementwise or per member, so a stack member gets the bits of a
+    call on it alone.  A root that stays unsolved after _SECULAR_MAX_STEPS steps raises
+    RuntimeError naming its member.
 
     Zero padding is exact.  Householder leaves the pad rows alone and D
-    restarts its phase at the zero subdiagonal, so a pad index of T meets only
-    a_pq = 0 and is never rotated, and in every merge a pad's entry of z is
-    exactly zero, so it deflates and passes through untouched.  Each pad
-    eigenvalue is exactly 0.0 with the unit vector at its index as
-    eigenvector, and the other eigenvectors have exactly zero pad rows.
-    Deliberately self-contained: no LAPACK, no reuse of the closed form.
+    restarts its phase at the zero subdiagonal, so a pad index of T is a leaf
+    that no coupling reaches, and in every merge its entry of z is exactly
+    zero, so it deflates and passes through untouched.  Each pad eigenvalue is
+    exactly 0.0 with the unit vector at its index as eigenvector, and the
+    other eigenvectors have exactly zero pad rows.  Deliberately
+    self-contained: no LAPACK, no reuse of the closed form.
     """
     h = np.asarray(h)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
@@ -675,19 +586,11 @@ def brute_diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian to 1e-12 of its magnitude")
     stack = h.reshape(-1, n, n)
-    scale = np.max(np.abs(stack), axis=(1, 2), initial=0.0)
     # an exact power of two takes each member to max|entry| in [1, 2), clear of
     # overflow and of subnormals; in the normal range it changes no bit
-    power = 1 - np.frexp(scale)[1]
-    scale = np.ldexp(scale, power)
+    power = 1 - np.frexp(np.max(np.abs(stack), axis=(1, 2), initial=0.0))[1]
     diag, off, qd = _tridiagonalize(stack, power)
-    if n <= _LEAF:
-        # quadratic convergence makes the exit off-norm far below this bound;
-        # eps*n guards against stalling at the rounding floor of large matrices
-        stop = np.maximum(scale, np.finfo(float).tiny) * max(JACOBI_TOL, np.finfo(float).eps * n)
-        w, v_t = _jacobi(diag, off, stop)
-    else:
-        w, v_t = _divide_conquer(diag, off, scale)
+    w, v_t = _divide_conquer(diag, off)
     order = np.argsort(w, axis=1, kind="stable")
     w = np.ldexp(np.take_along_axis(w, order, axis=1), -power[:, None])
     v_t = np.take_along_axis(v_t, order[:, None, :], axis=2)

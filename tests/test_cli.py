@@ -294,6 +294,40 @@ def test_verify_flag_overrides_config_and_writes_output_path(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+_MODEL_SECTION = "[model]\ntwice_j = 4\ncoeffs = 0,1,0.05\ntheta = 1.1\n"
+_EVOLVE_SECTION = "[evolve]\nt_max = 10.0\nnum_points = 5\ninitial = dicke:4\n"
+
+
+@pytest.mark.parametrize("command,sections", [
+    ("verify", "[model]\ntheta = 9\n"),
+    ("verify", "[output]\nformat = csv\n"),
+    ("verify", _EVOLVE_SECTION),
+    ("spectrum", _MODEL_SECTION + "[verify]\nseed = 1\n"),
+    ("spectrum", _MODEL_SECTION + _EVOLVE_SECTION),
+    ("ground", _MODEL_SECTION + "[verify]\ndraws = 2\n"),
+    ("ground", _MODEL_SECTION + _EVOLVE_SECTION),
+    ("evolve", _MODEL_SECTION + _EVOLVE_SECTION + "[verify]\nmax_twice_j = 2\n"),
+], ids=["verify-model", "verify-output-format", "verify-evolve", "spectrum-verify",
+        "spectrum-evolve", "ground-verify", "ground-evolve", "evolve-verify"])
+def test_config_sections_a_command_does_not_read_are_refused(tmp_path, command, sections):
+    cfg = write_config(tmp_path, "unread.ini", sections)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,sections", [
+    ("spectrum", _MODEL_SECTION),
+    ("ground", _MODEL_SECTION),
+    ("evolve", _MODEL_SECTION + _EVOLVE_SECTION),
+])
+def test_each_table_command_reads_its_own_config_sections(tmp_path, command, sections):
+    out = tmp_path / "table.json"
+    cfg = write_config(tmp_path, "own.ini", sections + f"[output]\npath = {out}\nformat = json\n")
+    assert main([command, "--config", cfg]) == EXIT_OK
+    assert isinstance(json.loads(out.read_text()), dict)
+
+
 @pytest.mark.parametrize("argv,section", [
     (["--max-j", "0"], ""),
     (["--draws", "0"], ""),

@@ -1,29 +1,33 @@
-"""Tests for the two stages of the Jacobi oracle: Householder front end and real Jacobi."""
+"""Tests for the two stages of the oracle: Householder front end and divide and conquer."""
+
+import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactspin import (
+    FockSector,
     HalfInt,
     ModelParams,
+    RotationAngles,
     brute_diagonalize,
     energy_values,
+    fock_hamiltonian,
     model_hamiltonian,
     operator_matrix,
     spectrum,
+    two_mode_coefficients,
 )
 from exactspin.spectrum import (
-    _LEAF,
-    JACOBI_MAX_SWEEPS,
     ORACLE_MAX_DIM,
-    _divide_conquer,
-    _jacobi,
-    _jacobi_tables,
     _merge,
-    _round_robin,
     _tree,
     _tridiagonalize,
 )
+from exactspin.verify import _random_params
 
 
 def _random_hermitian(rng, n, kind="complex", scale=1.0):
@@ -42,37 +46,6 @@ def _assert_certified(h, w, v):
     np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-9 * scale)
 
 
-def _one_matrix_real_jacobi(diag, off, stop):
-    """The loop _jacobi batches: one tridiagonal, index order, kept pairs only."""
-    n = diag.size
-    a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    v = np.eye(n)
-    for sweep in range(JACOBI_MAX_SWEEPS):
-        off_norm = np.sqrt(np.sum((a - np.diag(np.diag(a))) ** 2))
-        if off_norm <= stop:
-            break
-        thresh = off_norm / (n * n) if sweep < 3 else 0.0
-        for p, q in _round_robin(n):
-            keep = np.abs(a[p, q]) > thresh
-            p, q = p[keep], q[keep]
-            if not p.size:
-                continue
-            d = a[p, p] - a[q, q]
-            angle = 0.5 * np.arctan2(a[p, q] * np.copysign(2.0, d), np.abs(d))
-            c, s = np.cos(angle), np.sin(angle)
-            # A <- R·A·Rᵀ and V <- V·Rᵀ with R = [[c, s], [-s, c]] on each pair (p, q)
-            row_p, row_q = a[p].copy(), a[q].copy()
-            a[p] = c[:, None] * row_p + s[:, None] * row_q
-            a[q] = c[:, None] * row_q - s[:, None] * row_p
-            for m in (a, v):
-                col_p, col_q = m[:, p].copy(), m[:, q].copy()
-                m[:, p] = c * col_p + s * col_q
-                m[:, q] = c * col_q - s * col_p
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-    return np.diag(a).copy(), v
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 21, 30])
 def test_tridiagonalize_gives_a_real_tridiagonal_similar_to_the_input(n):
     h = _random_hermitian(np.random.default_rng(500 + n), n)
@@ -82,21 +55,6 @@ def test_tridiagonalize_gives_a_real_tridiagonal_similar_to_the_input(n):
     t = np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0], -1)
     np.testing.assert_allclose(qd[0].conj().T @ h @ qd[0], t, atol=1e-12 * np.max(np.abs(h)))
     assert np.max(np.abs(qd[0].conj().T @ qd[0] - np.eye(n))) < 1e-13
-
-
-@pytest.mark.parametrize("n", [2, 7, 20, 33])
-def test_jacobi_follows_the_one_matrix_loop(n):
-    # the seatings, the batched 2x2 products and the transposed column update
-    # perform the plain loop's rotations: equal to rounding, not to the bit
-    rng = np.random.default_rng(600 + n)
-    diag = rng.normal(size=n)
-    off = np.abs(rng.normal(size=n - 1))
-    stop = max(np.max(np.abs(diag)), np.max(off, initial=0.0)) * 1e-14
-    w, v = _jacobi(diag[None], off[None], np.array([stop]))
-    w_ref, v_ref = _one_matrix_real_jacobi(diag, off, stop)
-    assert w.shape == (1, n) and v.shape == (1, n, n)
-    np.testing.assert_allclose(w[0], w_ref, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(v[0], v_ref, rtol=0, atol=1e-11)
 
 
 def test_block_diagonal_input_keeps_each_eigenvector_on_its_block():
@@ -154,7 +112,12 @@ def test_oracle_calls_nothing_in_numpy_linalg(monkeypatch):
     _assert_certified(h, w[0], v[0])
 
 
-# --- divide and conquer: every n > _LEAF -----------------------------------
+# --- divide and conquer ------------------------------------------------------
+
+# a bound on the steps of any merge's secular equation on the confrontation
+# models: they take at most 7, 7 and 9 at dims 61, 101 and 201, and the margin
+# covers the last steps, which rounding noise decides
+SECULAR_STEPS_BOUND = 10
 
 
 def _assert_tight(h, w, v, tol=1e-13):
@@ -165,30 +128,6 @@ def _assert_tight(h, w, v, tol=1e-13):
     assert np.max(np.abs(h @ v - v * w[None, :])) <= tol * scale
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= tol
     assert np.all(np.diff(w) >= 0)
-
-
-def test_leaf_size_keeps_verify_stacks_on_the_jacobi_path(monkeypatch):
-    assert _LEAF >= 21
-    calls = []
-    monkeypatch.setattr(spectrum, "_divide_conquer",
-                        lambda *args: calls.append(args) or _divide_conquer(*args))
-    brute_diagonalize(np.stack([_random_hermitian(np.random.default_rng(80), 21)] * 2))
-    brute_diagonalize(_random_hermitian(np.random.default_rng(81), _LEAF))
-    assert not calls
-    brute_diagonalize(_random_hermitian(np.random.default_rng(82), _LEAF + 1))
-    assert len(calls) == 1
-
-
-def test_leaves_are_solved_in_one_jacobi_call_per_size(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(spectrum, "_jacobi",
-                        lambda diag, *rest: sizes.append(diag.shape) or _jacobi(diag, *rest))
-    levels = _tree(201)
-    leaves = [stop - start for level in levels for start, stop in level if stop - start <= _LEAF]
-    assert sum(leaves) == 201 and max(leaves) <= _LEAF
-    w, v = brute_diagonalize(np.stack([_random_hermitian(np.random.default_rng(83), 201)] * 2))
-    assert sorted(sizes) == sorted((2 * leaves.count(size), size) for size in set(leaves))
-    assert np.array_equal(w[0], w[1]) and np.array_equal(v[0], v[1])
 
 
 def test_padded_stack_is_exact_on_the_divide_and_conquer_path():
@@ -209,6 +148,107 @@ def test_padded_stack_is_exact_on_the_divide_and_conquer_path():
         assert np.array_equal(v_i[:, ~own], np.eye(n)[:, k:])
         assert np.all(v_i[k:, own] == 0.0)
         _assert_tight(m, w_i[own], v_i[:k, own])
+
+
+def _verify_shaped_stack(kind):
+    """verify's two oracle stacks: 40 random draws zero-padded together, or its two-mode pair."""
+    if kind == "two_mode":
+        params = ModelParams.quadratic(1.0, 0.3, theta=1.1, phi=0.7)
+        sector = FockSector(6)
+        h_fock = fock_hamiltonian(two_mode_coefficients(params, 6), sector, "standard", phi=0.7)
+        return np.stack([h_fock, model_hamiltonian(params, sector.j)]), [7, 7]
+    rng = np.random.default_rng(0)
+    drawn = [(_random_params(rng), HalfInt(int(rng.integers(1, 21)))) for _ in range(40)]
+    dims = [j.twice + 1 for _, j in drawn]
+    stack = np.zeros((40, max(dims), max(dims)), dtype=complex)
+    for h, (params, j), k in zip(stack, drawn, dims):
+        h[:k, :k] = model_hamiltonian(params, j)
+    return stack, dims
+
+
+@pytest.mark.parametrize("kind, shape", [("draws", (40, 21, 21)), ("two_mode", (2, 7, 7))],
+                         ids=["draws", "two_mode"])
+def test_verify_shaped_stacks_go_through_the_tree_exactly(monkeypatch, kind, shape):
+    stack, dims = _verify_shaped_stack(kind)
+    assert stack.shape == shape
+    n = shape[-1]
+    sizes = []
+
+    def merge(*args):
+        sizes.append(args[0].shape[1] + args[2].shape[1])
+        return _merge(*args)
+
+    monkeypatch.setattr(spectrum, "_merge", merge)
+    w, v = brute_diagonalize(stack)
+    monkeypatch.undo()
+    # one merge per depth that has a node to merge, up to the whole matrix
+    assert len(sizes) == len(_tree(n)) - 1 and sizes[-1] == n
+    for h, k, w_i, v_i in zip(stack, dims, w, v):
+        own = np.any(v_i[:k] != 0.0, axis=0)
+        assert own.sum() == k
+        assert np.all(w_i[~own] == 0.0)
+        assert np.array_equal(v_i[:, ~own], np.eye(n)[:, k:])
+        assert np.all(v_i[k:, own] == 0.0)
+        _assert_tight(h[:k, :k], w_i[own], v_i[:k, own])
+        w_one, v_one = brute_diagonalize(h)
+        assert np.array_equal(w_i, w_one) and np.array_equal(v_i, v_one)
+
+
+def test_each_depth_of_the_tree_is_one_merge_call(monkeypatch):
+    n = 201
+    levels = _tree(n)
+    # every coupling is torn once, down to 1x1 leaves, and the nodes of a depth
+    # differ by at most one row
+    tears = sorted((start + stop) // 2 for level in levels for start, stop in level
+                   if stop - start > 1)
+    assert tears == list(range(1, n))
+    for level in levels:
+        sizes = {stop - start for start, stop in level}
+        assert max(sizes) - min(sizes) <= 1
+    assert {stop - start for start, stop in levels[-1]} == {1}
+    calls = []
+
+    def merge(*args):
+        calls.append((args[0].shape[0], args[0].shape[1] + args[2].shape[1]))
+        return _merge(*args)
+
+    monkeypatch.setattr(spectrum, "_merge", merge)
+    h = _random_hermitian(np.random.default_rng(92), n)
+    w, v = brute_diagonalize(np.stack([h, h]))
+    monkeypatch.undo()
+    expected = []
+    for level in reversed(levels):
+        merged = [stop - start for start, stop in level if stop - start > 1]
+        if merged:
+            expected.append((2 * len(merged), max(merged)))
+    assert calls == expected
+    assert np.array_equal(w[0], w[1]) and np.array_equal(v[0], v[1])
+    _assert_tight(h, w[0], v[0])
+
+
+def _confrontation_model(order, twice_j, seed):
+    """A model drawn as the benchmark draws its confrontations (perfbench/workloads.py)."""
+    rng = random.Random(f"oracle_confront:{seed}")
+    j = twice_j / 2.0
+    coeffs = [rng.uniform(-1.0, 1.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.8, 1.2)]
+    for i in range(2, order + 1):
+        coeffs.append(rng.choice((-1.0, 1.0)) * rng.uniform(0.02, 0.08) * j ** (1 - i) / i)
+    angles = RotationAngles(rng.uniform(1.2, 1.95), rng.uniform(0.0, 2.0 * math.pi))
+    return ModelParams(order=order, coeffs=tuple(coeffs), angles=angles)
+
+
+@pytest.mark.parametrize("order, twice_j", [(4, 60), (3, 100), (3, 200)])
+def test_secular_steps_per_merge_stay_bounded_on_the_confrontation_models(
+        monkeypatch, order, twice_j):
+    # a count, not a timing: every merge must solve all its roots within the cap
+    monkeypatch.setattr(spectrum, "_SECULAR_MAX_STEPS", SECULAR_STEPS_BOUND)
+    for seed in range(1, 6):
+        params = _confrontation_model(order, twice_j, seed)
+        h = model_hamiltonian(params, HalfInt(twice_j))
+        w, v = brute_diagonalize(h)
+        _assert_tight(h, w, v, tol=1e-14)
+        np.testing.assert_allclose(w, np.sort(energy_values(params, HalfInt(twice_j))),
+                                   rtol=0, atol=1e-14 * np.max(np.abs(h)))
 
 
 def _three_copies():
@@ -272,6 +312,31 @@ def test_mixed_stack_gives_each_member_the_bits_of_its_own_call():
         assert np.array_equal(v_i, v_one)
 
 
+def test_a_tiny_block_keeps_its_own_tolerance_in_a_stack():
+    # rows 0-14 are the first half of the tree, so every merge inside them sees
+    # only a block 1e-16 of its matrix's scale: it deflates against that
+    # block's own size, not against the other member at the same node
+    rng = np.random.default_rng(93)
+    tiny = 1e-16 * _random_hermitian(rng, 15)
+    h = np.zeros((30, 30), dtype=complex)
+    h[:15, :15] = tiny
+    h[15:, 15:] = _random_hermitian(rng, 15)
+    w, v = brute_diagonalize(np.stack([h, _random_hermitian(rng, 30)]))
+    w_one, v_one = brute_diagonalize(h)
+    assert np.array_equal(w[0], w_one) and np.array_equal(v[0], v_one)
+    on_tiny = np.any(v[0][:15] != 0.0, axis=0)
+    assert on_tiny.sum() == 15
+    _assert_tight(tiny, w[0][on_tiny], v[0][:15, on_tiny])
+
+
+def test_a_lone_live_pole_is_solved_on_its_first_step(monkeypatch):
+    # the two torn leaves of [[0, 1], [1, 0]] are equal poles: rotation
+    # deflates one, and the root of the other sits on the end of its bracket
+    monkeypatch.setattr(spectrum, "_SECULAR_MAX_STEPS", 1)
+    w, v = brute_diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    np.testing.assert_allclose(w, [-1.0, 1.0], rtol=0, atol=1e-15)
+
+
 def _reflector_onto(z, row):
     """A symmetric orthogonal matrix whose given row is the unit vector z."""
     e = np.zeros_like(z)
@@ -315,33 +380,45 @@ def test_divide_and_conquer_calls_nothing_in_numpy_linalg(monkeypatch):
     _assert_tight(h.real, w[1], v[1])
 
 
-# --- robustness of both paths -----------------------------------------------
+# --- robustness ---------------------------------------------------------------
 
 
-def test_jacobi_round_tables_are_cached_read_only():
-    for n in (2, 7, 12, 13, 21):
-        first, second = _jacobi_tables(n), _jacobi_tables(n)
-        assert first is second
-        seat, pick, rounds = first
-        tables = [seat, pick] + [t for r in rounds for t in r]
-        assert not any(t.flags.writeable for t in tables)
-        with pytest.raises(ValueError):
-            seat[0] = 1
-    diag = np.random.default_rng(89).normal(size=(3, 13))
-    off = np.abs(np.random.default_rng(90).normal(size=(3, 12)))
-    stop = np.full(3, 1e-14)
-    w1, v1 = _jacobi(diag, off, stop)
-    w2, v2 = _jacobi(diag, off, stop)
-    assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
-
-
-def test_jacobi_that_runs_out_of_sweeps_raises(monkeypatch):
-    monkeypatch.setattr(spectrum, "JACOBI_MAX_SWEEPS", 1)
+def test_secular_that_runs_out_of_steps_names_its_member(monkeypatch):
+    monkeypatch.setattr(spectrum, "_SECULAR_MAX_STEPS", 1)
     h = _random_hermitian(np.random.default_rng(91), 30)
-    with pytest.raises(RuntimeError, match=r"member 0 has off-diagonal norm \S+ > stop \S+"):
+    with pytest.raises(RuntimeError, match=r"unsolved after 1 steps: member 0, root \d+ of a "
+                                           r"\d+-row merge"):
         brute_diagonalize(h)
-    with pytest.raises(RuntimeError, match=r"member 1 has off-diagonal norm"):
+    # the diagonal member has nothing to solve, so the second one runs out
+    with pytest.raises(RuntimeError, match=r"member 1, root"):
         brute_diagonalize(np.stack([np.diag(np.arange(9.0)), h[:9, :9]]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_random_padded_stacks_are_certified_member_by_member(data):
+    sizes = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4), label="sizes")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    members = [_random_hermitian(rng, k, data.draw(st.sampled_from(["real", "complex"])),
+                                 10.0 ** data.draw(st.integers(-3, 3)))
+               for k in sizes]
+    n = max(sizes)
+    stack = np.zeros((len(sizes), n, n), dtype=complex)
+    for h, m in zip(stack, members):
+        h[:len(m), :len(m)] = m
+    w, v = brute_diagonalize(stack)
+    for m, w_i, v_i in zip(members, w, v):
+        k = len(m)
+        assert np.all(np.diff(w_i) >= 0.0)
+        own = np.any(v_i[:k] != 0.0, axis=0)
+        assert own.sum() == k
+        # each pad eigenpair is exactly (0.0, the unit vector at its index)
+        assert np.all(w_i[~own] == 0.0)
+        assert np.array_equal(v_i[:, ~own], np.eye(n)[:, k:])
+        assert np.all(v_i[k:, own] == 0.0)
+        vo = v_i[:k, own]
+        assert np.max(np.abs(m @ vo - vo * w_i[own])) <= 1e-13 * np.max(np.abs(m))
+        assert np.max(np.abs(vo.conj().T @ vo - np.eye(k))) <= 1e-13
 
 
 def _certified_at_scale(h, w, v):
