@@ -181,6 +181,28 @@ def residual_norm(params: ModelParams, j, pair: EigenPair) -> float:
     return float(np.linalg.norm(hv - pair.energy * pair.vector))
 
 
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One sweep of the round-robin (tournament) ordering as (p, q) rounds.
+
+    Every pair p < q appears exactly once per sweep, and the pairs of one
+    round are disjoint: n - 1 rounds of n/2 pairs for even n.  Odd n is
+    padded with a dummy index n whose pairs are dropped.  This is the pair
+    schedule of a parallel-ordered (Brent–Luk) Jacobi; the divide-and-conquer
+    oracle does not call it.
+    """
+    m = n + n % 2
+    players = np.arange(m)
+    rounds = []
+    for _ in range(m - 1):
+        left, right = players[:m // 2], players[::-1][:m // 2]
+        p, q = np.minimum(left, right), np.maximum(left, right)
+        keep = q < n
+        rounds.append((p[keep], q[keep]))
+        # index 0 stays put; the others move one seat round the table
+        players = np.concatenate(([0], np.roll(players[1:], 1)))
+    return rounds
+
+
 def _tridiagonalize(stack: np.ndarray, power=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Householder reduction of each Hermitian member of stack (b, n, n), times 2**power.
 

@@ -20,6 +20,7 @@ from exactspin import (
 from exactspin.spectrum import (
     ORACLE_MAX_DIM,
     _closed_form_quadratic,
+    _round_robin,
     _scan_minimum,
 )
 
@@ -209,6 +210,19 @@ def test_brute_diagonalize_rejects_bad_input():
         brute_diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         brute_diagonalize(np.zeros((ORACLE_MAX_DIM + 1, ORACLE_MAX_DIM + 1), dtype=complex))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_round_robin_covers_every_pair_once_in_disjoint_rounds(n):
+    rounds = _round_robin(n)
+    seen = []
+    for p, q in rounds:
+        assert np.all(p < q)
+        touched = np.concatenate([p, q])
+        assert len(set(touched.tolist())) == touched.size  # disjoint within the round
+        seen += list(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    assert len(rounds) == n - 1 + n % 2
 
 
 def _assert_certified(h, w, v):
