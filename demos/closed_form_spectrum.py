@@ -2,7 +2,8 @@
 
 Builds a cubic model at j = 9/2, lists the closed-form eigenpairs, then
 confronts them with the in-house divide-and-conquer eigensolver, which
-knows nothing about the construction.
+knows nothing about the construction, run on the dense H = p(T): a
+polynomial in the tridiagonal T = U† Jz U, built with no rotation matrix.
 """
 
 import numpy as np

@@ -41,7 +41,7 @@ h_model = model_hamiltonian(params, sector.j)
 w_fock, _ = brute_diagonalize(h_fock)
 w_model, _ = brute_diagonalize(h_model)
 print()
-print(f"printed two-mode build vs rotated diagonal on the N={n_atoms} sector:")
+print(f"printed two-mode build vs the model p(T) on the N={n_atoms} sector:")
 print(f"  sorted-eigenvalue gap: {np.max(np.abs(w_fock - w_model)):.4f} "
       "(structured, not noise)")
 

@@ -23,10 +23,10 @@ import tempfile
 
 import numpy as np
 
-from .dynamics import EigenbasisState, evolve_series, to_eigenbasis
+from .dynamics import EigenbasisState, _dicke_state, evolve_series, to_eigenbasis
 from .model import ModelParams, apply_hamiltonian, energy_values
 from .observables import dicke_distribution
-from .rotation import RotationAngles, _row_blocks, little_d, little_d_row
+from .rotation import RotationAngles, _row_blocks, little_d
 from .spectrum import ground_state
 from .su2 import HalfInt, dicke_index, m_floats
 
@@ -222,15 +222,11 @@ def _parse_initial(spec: str, params: ModelParams, j: HalfInt) -> EigenbasisStat
             k = dicke_index(j, m)
         except ValueError as exc:
             raise ConfigError(f"initial {spec!r} invalid for twice_j={j.twice}: {exc}") from exc
-        if kind == "rotated":
-            # rotated:m is U†|m>, whose coefficients U·U†|m> are e_k itself
-            coeffs = np.zeros(dim, dtype=complex)
-            coeffs[k] = 1.0
-        else:
-            # U|m> = e^{i phi m} (column k of d(theta)), and d is orthogonal,
-            # so that column is row k of d(-theta)
-            angles = params.angles
-            coeffs = np.exp(1j * angles.phi * m_floats(j)) * little_d_row(j, -angles.theta, k)
+        if kind == "dicke":
+            return _dicke_state(params, j, k)
+        # rotated:m is U†|m>, whose coefficients U·U†|m> are e_k itself
+        coeffs = np.zeros(dim, dtype=complex)
+        coeffs[k] = 1.0
         return EigenbasisState(coeffs)
     if kind == "amplitudes":
         try:

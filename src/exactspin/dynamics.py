@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, energy_values
-from .rotation import RotationAngles, apply_rotation
+from .rotation import RotationAngles, apply_rotation, little_d_row
 from .su2 import _check_j, _ladder_coeffs_ascending, m_floats
 
 __all__ = [
@@ -87,6 +87,18 @@ def to_eigenbasis(params: ModelParams, j, psi0: np.ndarray) -> EigenbasisState:
     if abs(norm2 - 1.0) > 1e-10:
         raise ValueError(f"initial state must be unit norm, got sum |psi|^2 = {norm2}")
     return EigenbasisState(apply_rotation(j, params.angles, psi0))
+
+
+def _dicke_state(params: ModelParams, j, k: int) -> EigenbasisState:
+    """Coefficients U|j,m_k> of the Dicke state at ascending index k, from one row of d.
+
+    O(dim), where to_eigenbasis of the same unit vector builds all of d."""
+    j = _check_j(j)
+    # U|m> = e^{i phi m} (column k of d(theta)), and d is orthogonal,
+    # so that column is row k of d(-theta)
+    angles = params.angles
+    coeffs = np.exp(1j * angles.phi * m_floats(j)) * little_d_row(j, -angles.theta, k)
+    return EigenbasisState(coeffs)
 
 
 def state_at(params: ModelParams, j, state: EigenbasisState, t: float) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Hamiltonian builders for the rotated collective-spin model family.
 
-The ground-truth construction is H = U† H0 U with H0 a polynomial in Jz;
-its spectrum is known in closed form.  The quadratic member has two
-alternative printed expansions (a ladder-operator form and a two-mode
-Fock form) that carry internal factor conventions differing from the
-rotated-diagonal construction; both are built verbatim as diagnostic
+The model is H = U† H0 U with H0 = sum_i a_i Jz^i, whose spectrum {E_m} is
+known in closed form.  Because U† Jz U = cos(theta) Jz + sin(theta) Jx = T
+for every phi, H = p(T), a polynomial in one real symmetric tridiagonal
+matrix, and that is how it is built: dense (model_hamiltonian) or
+matrix-free (apply_hamiltonian), by Horner's rule in T, with no rotation
+matrix.  The quadratic member has two alternative printed expansions (a
+ladder-operator form and a two-mode Fock form) that carry internal factor
+conventions differing from H; both are built verbatim as diagnostic
 surfaces so the deviations can be measured, never silently corrected.
 """
 
@@ -16,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rotation import RotationAngles, rotate_operator, rotation_matrix
-from .su2 import HalfInt, _check_j, _ladder_coeffs_ascending, m_floats, operator_matrix
+from .rotation import RotationAngles, _t_bands, rotate_operator, rotation_matrix
+from .su2 import HalfInt, _check_j, m_floats, operator_matrix
 
 __all__ = [
     "ModelParams",
@@ -84,9 +87,13 @@ def diagonal_hamiltonian(params: ModelParams, j) -> np.ndarray:
 
 
 def model_hamiltonian(params: ModelParams, j) -> np.ndarray:
-    """The rotated model H = U† diag(E_m) U; Hermitian with spectrum {E_m}."""
-    u = rotation_matrix(j, params.angles)
-    return rotate_operator(u, diagonal_hamiltonian(params, j))
+    """The model as a dense complex matrix: H = p(T), equal to U† diag(E_m) U.
+
+    Column b is apply_hamiltonian on the unit vector e_b, bitwise, so the build costs
+    O(order * dim^2) and touches no rotation code; its spectrum is {E_m} because
+    spec T is the m grid (spectral mapping).  H is real and independent of phi."""
+    j = _check_j(j)
+    return apply_hamiltonian(params, j, np.eye(j.twice + 1)).astype(complex)
 
 
 def apply_hamiltonian(params: ModelParams, j, vec: np.ndarray) -> np.ndarray:
@@ -102,8 +109,7 @@ def apply_hamiltonian(params: ModelParams, j, vec: np.ndarray) -> np.ndarray:
         raise ValueError(f"state has shape {vec.shape}, expected ({j.twice + 1},) "
                          f"or ({j.twice + 1}, n)")
     column = (-1,) + (1,) * (vec.ndim - 1)
-    diag = (math.cos(params.angles.theta) * m_floats(j)).reshape(column)
-    off = (math.sin(params.angles.theta) * _ladder_coeffs_ascending(j) / 2.0).reshape(column)
+    diag, off = (band.reshape(column) for band in _t_bands(j, params.angles.theta))
     w = params.coeffs[-1] * vec
     for a in reversed(params.coeffs[:-1]):
         tw = diag * w
@@ -178,7 +184,7 @@ def paper_literal_h2(params: ModelParams, j) -> PaperH2:
     """The quadratic model's printed ladder-operator expansion, as printed.
 
     Returns the matrix of _printed_h2 together with the elementwise max
-    difference from the rotated-diagonal model_hamiltonian; the difference
+    difference from model_hamiltonian, H = p(T); the difference
     is a measurement, not an error.
     """
     h = _printed_h2(params, j)

@@ -60,6 +60,15 @@ class RotationAngles:
             object.__setattr__(self, name, val % TWO_PI)
 
 
+def _t_bands(j: HalfInt, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal cos(theta)*m and off-diagonal (sin(theta)/2)*c of T = U† Jz U.
+
+    T = cos(theta)*Jz + sin(theta)*Jx is real symmetric tridiagonal for every phi; c are
+    the ascending ladder coefficients.  sin(theta)/2 is halved before the product, so it
+    is exactly zero wherever it underflows (theta = 5e-324) and T is then diagonal."""
+    return math.cos(theta) * m_floats(j), math.sin(theta) / 2.0 * _ladder_coeffs_ascending(j)
+
+
 def _pivots(diag: list, off2: list, pivmin: float) -> list:
     """Pivots D_i = a_i - b_{i-1}^2 / D_{i-1} of a tridiagonal's LDL^T factorization."""
     out = []
@@ -76,8 +85,8 @@ def _d_rows(j: HalfInt, theta: float, ks: np.ndarray) -> np.ndarray:
     """Rows ks of little_d(j, theta), one per row of the result, unit norm.
 
     Row k is the eigenvector of the real symmetric tridiagonal
-    T = cos(theta)*Jz + sin(theta)*Jx (diagonal cos(theta)*m, off-diagonal
-    sin(theta)*c/2, as in model.apply_hamiltonian) for its exact
+    T = cos(theta)*Jz + sin(theta)*Jx (the bands of _t_bands, which
+    model.apply_hamiltonian reads too) for its exact
     eigenvalue m_k.  A twisted factorization of T - m_k*I (the step behind
     LAPACK's MRRR; Dhillon & Parlett, Linear Algebra Appl. 387 (2004) 1-28)
     gives it: forward and backward pivots, the twist r = argmin |gamma_r|,
@@ -99,11 +108,10 @@ def _d_rows(j: HalfInt, theta: float, ks: np.ndarray) -> np.ndarray:
     """
     dim = j.twice + 1
     n = len(ks)
-    off = math.sin(theta) / 2.0 * _ladder_coeffs_ascending(j)
+    cm, off = _t_bands(j, theta)
     # theta = 0, or so small that sin(theta)/2 underflows: T is diagonal and d = I
     if not off.any():
         return np.eye(dim)[ks]
-    cm = math.cos(theta) * m_floats(j)
     mk = ks - j.twice / 2.0
     off2 = off * off
     # a zero pivot becomes -pivmin (as in LAPACK's dlar1v), so every b^2/pivot stays finite

@@ -16,6 +16,12 @@ sizes share a stack zero-padded to the largest: a pad index is never
 coupled or mixed, so it adds the eigenvalue 0.0 on its own unit vector
 and leaves every other eigenpair of its matrix with zero pad rows.
 
+The matrices it confronts are the dense model H = p(T) of
+model_hamiltonian, a polynomial in the tridiagonal T = U† Jz U built with
+no rotation code, so agreement with {E_m} shows spec p(T) = {p(m)}
+without trusting little-d; the closed-form eigenvectors are certified
+separately, by their residuals ||Hv - Ev||.
+
 Ground-state selection follows the quadratic classification (vertex of
 the energy parabola, clamped to the magnetic range), generalized from
 integer m to the half-integer grid, and is always cross-checked against

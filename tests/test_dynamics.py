@@ -395,3 +395,15 @@ def test_evolve_series_memory_stays_within_four_chunks(monkeypatch, twice_j, num
     finally:
         tracemalloc.stop()
     assert peak <= 4 * exactspin.dynamics.SERIES_CHUNK_BYTES + values.nbytes
+
+
+@pytest.mark.parametrize("twice_j", [0, 1, 6, 13, 40])
+def test_dicke_state_is_to_eigenbasis_of_the_unit_vector(twice_j):
+    # one row of d(-theta) against the column that to_eigenbasis takes from all of d
+    j = HalfInt(twice_j)
+    for theta, phi in ((0.0, 0.0), (0.7, 2.1), (math.pi, 0.4), (2.9, 5.5), (4.0, 1.0)):
+        params = ModelParams.quadratic(1.0, 0.3, theta, phi)
+        for k in range(twice_j + 1):
+            got = exactspin.dynamics._dicke_state(params, j, k).coeffs
+            want = to_eigenbasis(params, j, np.eye(twice_j + 1)[k]).coeffs
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)

@@ -6,6 +6,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import exactspin.rotation
 
 from exactspin import (
     FockSector,
@@ -26,6 +30,7 @@ from exactspin import (
     rotated_basis_state,
     two_mode_coefficients,
 )
+from exactspin.verify import series_expm
 
 
 def test_params_validation():
@@ -338,3 +343,56 @@ def test_apply_hamiltonian_real_input_stays_real(order):
         hv = apply_hamiltonian(p, j, real)
         assert hv.dtype == np.float64 and hv.shape == real.shape
         assert np.array_equal(hv, apply_hamiltonian(p, j, real.astype(complex)).real)
+
+
+MAGIC_ANGLE = 0.9553  # arccos(1/sqrt(3)) to four places
+THETAS = st.one_of(
+    st.floats(-1e-3, 1e-3),
+    st.floats(math.pi - 1e-3, math.pi + 1e-3),
+    st.sampled_from([0.0, math.pi, math.pi / 2, MAGIC_ANGLE, math.acos(1 / math.sqrt(3))]),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.integers(1, 4), twice_j=st.integers(1, 25), theta=THETAS,
+       phi=st.floats(0.0, 2.0 * math.pi), data=st.data())
+def test_model_hamiltonian_matches_series_rotated_diagonal(order, twice_j, theta, phi, data):
+    # the p(T) build against U† diag(E) U with U from two scaled Taylor exponentials,
+    # so no little-d, rotation or Horner code is involved on the reference side; the
+    # reference's own error reaches ~3e-13 of ||H|| at twice_j 25 (the squarings of a
+    # norm-80 exponent), so the tolerance has a margin of three
+    coeffs = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=order + 1, max_size=order + 1))
+    p = ModelParams(order=order, coeffs=tuple(coeffs), angles=RotationAngles(theta, phi))
+    j = HalfInt(twice_j)
+    u = (series_expm(1j * p.angles.phi * operator_matrix(j, "Jz"))
+         @ series_expm(1j * p.angles.theta * operator_matrix(j, "Jy")))
+    ref = u.conj().T @ np.diag(energy_values(p, j)) @ u
+    h = model_hamiltonian(p, j)
+    assert h.dtype == complex
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(h, np.inf)))
+    assert np.max(np.abs(h - ref)) <= tol
+
+
+@pytest.mark.parametrize("twice_j", [0, 1, 6, 13])
+def test_model_hamiltonian_columns_are_apply_hamiltonian_bitwise(twice_j):
+    j = HalfInt(twice_j)
+    for p in (ModelParams(order=4, coeffs=(0.3, -1.1, 0.4, 0.07, -0.02),
+                          angles=RotationAngles(1.3, 0.6)),
+              ModelParams.quadratic(1.0, 0.01, theta=math.pi, phi=2.0)):
+        h = model_hamiltonian(p, j)
+        for b, e_b in enumerate(np.eye(twice_j + 1)):
+            assert np.array_equal(h[:, b], apply_hamiltonian(p, j, e_b))
+            assert np.array_equal(h[:, b], apply_hamiltonian(p, j, e_b.astype(complex)))
+
+
+def test_model_hamiltonian_never_reaches_the_rotation_engine(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("model_hamiltonian built a row of little-d")
+
+    monkeypatch.setattr(exactspin.rotation, "_d_rows", refuse)
+    with pytest.raises(AssertionError):
+        exactspin.rotation.little_d(HalfInt(3), 0.4)  # the patch is live
+    for twice_j in (1, 2, 20):
+        p = ModelParams(order=3, coeffs=(0.5, 1.0, 2.0, 3.0), angles=RotationAngles(1.2, 0.8))
+        assert model_hamiltonian(p, HalfInt(twice_j)).shape == (twice_j + 1,) * 2

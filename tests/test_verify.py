@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import exactspin.dynamics
 import exactspin.model
 import exactspin.verify
 from exactspin import HalfInt, ModelParams
 from exactspin.verify import (
     CV_LIMIT,
+    _lag_correlations,
     _random_params,
     build_report,
     run_diagnostic_sweeps,
@@ -123,3 +125,27 @@ def test_spectrum_vs_oracle_draws_follow_the_seeded_stream(monkeypatch):
     assert grounds == expected_grounds
     dim = max(j.twice for _, j in expected) + 1
     assert oracle_calls == [(10, dim, dim)]
+
+
+def test_lag_scan_reports_the_best_lag_of_the_dot_and_norm_loop():
+    # the shipped Jy/Jz lag observation: the vectorized scan picks the lag that the
+    # loop of one dot and two norms per lag picks, and matches its correlations
+    params = ModelParams.quadratic(1.0, 0.01, theta=1.5)
+    j = HalfInt(200)
+    times = np.linspace(0.0, 25.0, 2500)
+    state = exactspin.dynamics._dicke_state(params, j, j.twice)
+    jz, jy = exactspin.dynamics.evolve_series(params, j, state, ("Jz", "Jy"), times).T
+    jz0, jy0 = jz - jz.mean(), jy - jy.mean()
+    period = 2.0 * np.pi / abs(params.coeffs[1])
+    dt = times[1] - times[0]
+    max_lag = int(round(period / dt))
+    loop = []
+    for lag in range(max_lag + 1):
+        a, b = jz0[lag:], jy0[:jz0.size - lag]
+        loop.append(float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))))
+    fast = _lag_correlations(jz0, jy0, max_lag)
+    np.testing.assert_allclose(fast, loop, rtol=0, atol=1e-13)
+    best = int(np.argmax(loop))
+    assert int(np.argmax(fast)) == best
+    (lag_obs,) = [o for o in run_observations() if o.name == "jy_vs_jz_lag_over_quarter_period"]
+    assert lag_obs.value == best * dt / (period / 4.0)
