@@ -9,13 +9,17 @@ its own sections: spectrum and ground [model] and [output], evolve those and
 shortest round-trip float formatting and '\n' line endings so identical
 inputs give byte-identical files.  Exit codes: 0 success, 2 config
 validation error, 3 numerical check failure (verify), 4 I/O error.
+
+Each command imports what only it runs where it runs it: evolve loads
+dynamics, ground observables, verify the oracle and its report, and json
+is imported only to write JSON, so a cold process compiles no more than
+its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import math
 import os
 import sys
@@ -23,11 +27,9 @@ import tempfile
 
 import numpy as np
 
-from .dynamics import EigenbasisState, _dicke_state, evolve_series, to_eigenbasis
+from .closed_form import ground_state
 from .model import ModelParams, apply_hamiltonian, energy_values
-from .observables import dicke_distribution
 from .rotation import RotationAngles, _row_blocks, little_d
-from .spectrum import ground_state
 from .su2 import HalfInt, dicke_index, m_floats
 
 __all__ = ["main", "ConfigError"]
@@ -105,6 +107,8 @@ def _write_table(path: str, fmt: str, columns: dict, meta: dict | None = None) -
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key!r} is {value} (float overflow); no output written")
     if fmt == "json":
+        import json
+
         doc = {**meta, **{name: np.asarray(col, dtype=float).tolist()
                           for name, col in columns.items()}}
         _write_atomic(path, json.dumps(doc, indent=2) + "\n")
@@ -214,6 +218,8 @@ def _output_target(config: dict, default_name: str, command: str) -> tuple[str, 
 
 
 def _parse_initial(spec: str, params: ModelParams, j: HalfInt) -> EigenbasisState:
+    from .dynamics import EigenbasisState, _dicke_state, to_eigenbasis
+
     kind, _, rest = spec.partition(":")
     dim = j.twice + 1
     if kind in ("dicke", "rotated"):
@@ -264,6 +270,8 @@ def cmd_spectrum(config: dict) -> int:
 def cmd_ground(config: dict) -> int:
     params, j = _build_model(config)
     path, fmt = _output_target(config, "ground.csv", "ground")
+    from .observables import dicke_distribution
+
     result = ground_state(params, j)
     meta = {"m0": result.m0.value, "energy": result.pair.energy,
             "degenerate": result.degenerate, "method": result.method}
@@ -293,6 +301,8 @@ def cmd_evolve(config: dict) -> int:
     include_printed = _get(section, "include_printed_formula",
                            lambda s: s.strip().lower() in ("1", "true", "yes"),
                            default=params.order == 2)
+    from .dynamics import evolve_series
+
     state = _parse_initial(_get(section, "initial", str), params, j)
     times = np.linspace(t_min, t_max, num_points)
     series = {"jz_exact": "Jz", "jz_paper_formula": "printed", "jy_exact": "Jy"}
@@ -312,6 +322,8 @@ def cmd_verify(config: dict) -> int:
     if max_twice_j < 1 or draws < 1 or seed < 0:
         raise ConfigError(f"need max_twice_j >= 1, draws >= 1 and seed >= 0, "
                           f"got {max_twice_j}, {draws} and {seed}")
+    import json
+
     from .verify import build_report  # the oracle layer loads only for this command
 
     report = build_report(max_twice_j=max_twice_j, draws=draws, seed=seed)

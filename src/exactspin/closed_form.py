@@ -1,0 +1,168 @@
+"""Closed-form eigensystem and ground-state selection.
+
+The closed form gives every eigenpair without diagonalizing anything:
+energies are the polynomial values E_m and eigenvectors the rotated
+basis states U†|j,m>, each certified by its residual ||Hv - Ev||.
+
+Ground-state selection follows the quadratic classification (vertex of
+the energy parabola, clamped to the magnetic range), generalized from
+integer m to the half-integer grid, and is always cross-checked against
+an exhaustive scan.  Energy comparisons near ties are done in exact
+rational arithmetic so degeneracy flags do not depend on float rounding;
+fractions is imported only then, so the spectrum and evolve commands
+never load it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .model import ModelParams, apply_hamiltonian, energy_values
+from .rotation import little_d, rotated_basis_state
+from .su2 import HalfInt, _check_j, m_floats
+
+__all__ = [
+    "EigenPair",
+    "exact_spectrum",
+    "GroundStateResult",
+    "ground_state",
+    "residual_norm",
+]
+
+
+@dataclass(frozen=True)
+class EigenPair:
+    """A closed-form eigenpair: label m, energy E_m, eigenvector U†|j,m>."""
+
+    m: HalfInt
+    energy: float
+    vector: np.ndarray
+
+
+def exact_spectrum(params: ModelParams, j) -> list[EigenPair]:
+    """All 2j+1 closed-form eigenpairs, ascending m.  No diagonalization."""
+    j = _check_j(j)
+    energies = energy_values(params, j)
+    # row k of little_d (unit norm) times e^{-i phi m_k} is U†|j,m_k>, as in rotated_basis_state
+    phases = np.exp(-1j * params.angles.phi * m_floats(j))
+    vecs = little_d(j, params.angles.theta) * phases[:, None]
+    return [EigenPair(m=HalfInt(twice_m), energy=float(e), vector=v)
+            for twice_m, e, v in zip(range(-j.twice, j.twice + 1, 2), energies, vecs)]
+
+
+def _exact_energy(params: ModelParams, twice_m: int) -> Fraction:
+    """E_m in exact rational arithmetic (floats are embedded exactly)."""
+    from fractions import Fraction
+
+    m = Fraction(twice_m, 2)
+    e = Fraction(0)
+    for a in reversed(params.coeffs):
+        e = e * m + Fraction(a)
+    return e
+
+
+@dataclass(frozen=True)
+class GroundStateResult:
+    pair: EigenPair
+    m0: HalfInt
+    degenerate: bool
+    method: str  # "closed_form" or "scan"
+
+
+def _scan_minimum(params: ModelParams, j: HalfInt) -> tuple[int, bool]:
+    """Exhaustive minimum over the m grid: (twice_m0, degenerate).
+
+    Float evaluation locates candidates; the winner and the degeneracy
+    flag are decided by exact rational comparison among every m whose
+    float energy sits within the evaluation error bound of the float
+    minimum; when that window is not finite (an overflowing energy), among
+    every m.  Ties go to the lower m.
+    """
+    energies = energy_values(params, j)
+    twice_grid = np.arange(-j.twice, j.twice + 1, 2)
+    jmag = max(1.0, j.twice / 2.0)
+    scale = sum(abs(a) * jmag**i for i, a in enumerate(params.coeffs))
+    window = 64.0 * np.finfo(float).eps * max(scale, 1.0) * (params.order + 1)
+    bound = float(np.min(energies)) + window
+    candidates = twice_grid[energies <= bound] if math.isfinite(bound) else twice_grid
+    best_t = None
+    best_e = None
+    hits = 0
+    for t in candidates:
+        e = _exact_energy(params, int(t))
+        if best_e is None or e < best_e:
+            best_e = e
+            best_t = int(t)
+            hits = 1
+        elif e == best_e:
+            hits += 1
+    return best_t, hits >= 2
+
+
+def _closed_form_quadratic(params: ModelParams, j: HalfInt) -> tuple[int, bool]:
+    """Vertex-based minimum of E_m = a0 + a1 m + a2 m^2 on the m grid."""
+    from fractions import Fraction
+
+    _, a1, a2 = params.coeffs
+    if a2 > 0:
+        # nearest valid m to the parabola vertex, clamped to the range ends
+        vertex_twice = Fraction(-a1) / Fraction(a2)  # = 2 * (-a1 / (2 a2))
+        lo = Fraction(-j.twice)
+        hi = Fraction(j.twice)
+        if vertex_twice <= lo:
+            return -j.twice, False
+        if vertex_twice >= hi:
+            return j.twice, False
+        steps = (vertex_twice + j.twice) / 2
+        below = -j.twice + 2 * (steps.numerator // steps.denominator)
+        above = below + 2
+        e_below = _exact_energy(params, below)
+        e_above = _exact_energy(params, min(above, j.twice))
+        if e_below == e_above:
+            return below, True
+        return (below, False) if e_below < e_above else (min(above, j.twice), False)
+    if a2 < 0:
+        # concave parabola: minimum at an endpoint, sign of a1 decides
+        if a1 == 0:
+            return -j.twice, j.twice > 0
+        return (j.twice, False) if a1 < 0 else (-j.twice, False)
+    # a2 == 0: linear
+    if a1 > 0:
+        return -j.twice, False
+    if a1 < 0:
+        return j.twice, False
+    return -j.twice, j.twice > 0
+
+
+def ground_state(params: ModelParams, j) -> GroundStateResult:
+    """Minimum-energy eigenpair with the closed-form rule cross-checked by scan."""
+    j = _check_j(j)
+    scan_t, scan_deg = _scan_minimum(params, j)
+    if params.order == 2:
+        cf_t, cf_deg = _closed_form_quadratic(params, j)
+        if cf_t != scan_t or cf_deg != scan_deg:
+            raise RuntimeError(
+                f"closed-form ground state (m0 twice={cf_t}, deg={cf_deg}) disagrees "
+                f"with exhaustive scan (twice={scan_t}, deg={scan_deg}) for {params}"
+            )
+        method = "closed_form"
+    else:
+        method = "scan"
+    m0 = HalfInt(scan_t)
+    exact = _exact_energy(params, scan_t)
+    try:
+        energy = float(exact)
+    except OverflowError:  # an exact energy beyond float range maps to +-inf by its sign
+        energy = math.inf if exact > 0 else -math.inf
+    vec = rotated_basis_state(j, params.angles, m0)
+    pair = EigenPair(m=m0, energy=energy, vector=vec)
+    return GroundStateResult(pair=pair, m0=m0, degenerate=scan_deg, method=method)
+
+
+def residual_norm(params: ModelParams, j, pair: EigenPair) -> float:
+    """Eigenpair certificate ||H v - E v||_2 via the matrix-free product."""
+    hv = apply_hamiltonian(params, j, pair.vector)
+    return float(np.linalg.norm(hv - pair.energy * pair.vector))

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import ground_state
 from .model import ModelParams
-from .spectrum import ground_state
 from .su2 import HalfInt, _check_j
 
 __all__ = [

@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .closed_form import exact_spectrum, ground_state, residual_norm
 from .dynamics import (
     EigenbasisState,
     _dicke_state,
@@ -35,22 +36,19 @@ from .dynamics import (
     evolve_series,
     state_at,
 )
-from .model import (
+from .model import ModelParams, apply_hamiltonian, energy_values, model_hamiltonian
+from .observables import count_peaks, ground_distribution
+from .rotation import RotationAngles, little_d, rotation_matrix
+from .spectrum import brute_diagonalize
+from .su2 import HalfInt, commutator, operator_matrix
+from .two_mode import (
     FockSector,
-    ModelParams,
     _printed_h2,
-    apply_hamiltonian,
-    energy_values,
     fock_hamiltonian,
-    model_hamiltonian,
     paper_literal_h2,
     rate_relation,
     two_mode_coefficients,
 )
-from .observables import count_peaks, ground_distribution
-from .rotation import RotationAngles, little_d, rotation_matrix
-from .spectrum import brute_diagonalize, exact_spectrum, ground_state, residual_norm
-from .su2 import HalfInt, commutator, operator_matrix
 
 __all__ = [
     "CheckResult",
@@ -100,7 +98,14 @@ class Observation:
 
 
 def series_expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaled Taylor series (independent test oracle)."""
+    """Matrix exponential by scaled Taylor series (independent test oracle).
+
+    Each of the s = ceil(log2(||a||_inf / 0.25)) squarings doubles the
+    rounding error, so the result is off by about 2^s * eps.  At twice_j 25,
+    exp(i*6*Jz) (s = 9) has diagonal moduli off 1 by 6.9e-14, and
+    U† diag(E) U built from it is off p(T) by up to 2.6e-13 * ||H||_inf.
+    It is a reference for small dimensions only: at dims 61-201 more
+    squarings make it weaker than the model H = p(T) it would check."""
     a = np.asarray(a, dtype=complex)
     norm = float(np.linalg.norm(a, np.inf))
     squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-30) / 0.25))))

@@ -1,0 +1,85 @@
+"""The package's public names, and which modules each entry point loads."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import exactspin
+
+# every public name the package exported when it imported all its modules eagerly,
+# by the module that defines it
+PUBLIC = {
+    "su2": ("HalfInt", "as_halfint", "commutator", "dicke_index", "is_hermitian", "is_unitary",
+            "ladder_coeff", "m_floats", "m_values", "operator_matrix", "validate_jm"),
+    "rotation": ("RotationAngles", "apply_rotation", "little_d", "little_d_row",
+                 "rotated_basis_state", "rotate_operator", "rotation_matrix"),
+    "model": ("ModelParams", "apply_hamiltonian", "diagonal_hamiltonian", "energy_values",
+              "model_hamiltonian"),
+    "closed_form": ("EigenPair", "GroundStateResult", "exact_spectrum", "ground_state",
+                    "residual_norm"),
+    "spectrum": ("brute_diagonalize",),
+    "two_mode": ("FockSector", "PaperH2", "RotatedJzExpansion", "TwoModeCoefficients",
+                 "expand_rotated_jz", "fock_hamiltonian", "paper_literal_h2", "rate_relation",
+                 "two_mode_coefficients"),
+    "dynamics": ("EigenbasisState", "TimeSeries", "envelope_metric", "evolve_observable",
+                 "evolve_series", "paper_jz_series", "revival_time", "rotated_observable",
+                 "state_at", "to_eigenbasis"),
+    "observables": ("PopulationDistribution", "count_peaks", "dicke_distribution",
+                    "ground_distribution"),
+    "verify": ("build_report", "run_diagnostic_sweeps", "run_observations",
+               "run_required_checks"),
+}
+NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
+
+
+@pytest.mark.parametrize("module, name", NAMES)
+def test_every_public_name_resolves_to_its_defining_object(module, name):
+    defined = getattr(importlib.import_module(f"exactspin.{module}"), name)
+    assert getattr(exactspin, name) is defined
+    scope = {}
+    exec(f"from exactspin import {name}", scope)
+    assert scope[name] is defined
+
+
+def test_star_import_all_and_dir_cover_every_public_name():
+    scope = {}
+    exec("from exactspin import *", scope)
+    for module, name in NAMES:
+        assert scope[name] is getattr(importlib.import_module(f"exactspin.{module}"), name)
+    assert sorted(exactspin.__all__) == sorted(name for _, name in NAMES)
+    assert set(exactspin.__all__) <= set(dir(exactspin))
+    with pytest.raises(AttributeError):
+        exactspin.no_such_name
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # the oracle, the printed two-mode builders, dynamics, observables and verify
+    # load on first use: a fresh import and the table commands leave them out
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactspin.__file__)))
+    out = str(tmp_path / "out.csv")
+    lazy = ["spectrum", "two_mode", "dynamics", "observables", "verify"]
+    code = ("import sys, exactspin\n"
+            f"lazy = {lazy!r}\n"
+            "def loaded():\n"
+            "    return [m for m in lazy if 'exactspin.' + m in sys.modules]\n"
+            "print(loaded())\n"
+            "import exactspin.cli\n"
+            "for argv in (['spectrum', '--j=6', '--A=0,1,0.1', '--theta=0.4'],\n"
+            "             ['ground', '--config', 'recipes/fig1a.ini'],\n"
+            "             ['evolve', '--config', 'recipes/fig2.ini']):\n"
+            f"    assert exactspin.cli.main(argv + ['--out', {out!r}]) == 0\n"
+            "    print(loaded())\n")
+    result = subprocess.run([sys.executable, "-c", code], cwd=root,
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "[]",                            # import exactspin
+        "[]",                            # spectrum
+        "['observables']",               # ground
+        "['dynamics', 'observables']",   # evolve
+    ]

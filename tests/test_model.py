@@ -117,7 +117,9 @@ def test_apply_hamiltonian_matches_dense():
     p = ModelParams(order=3, coeffs=(0.2, -1.0, 0.4, 0.05),
                     angles=RotationAngles(0.9, 1.7))
     j = HalfInt(16)
-    h = model_hamiltonian(p, j)
+    # an independent dense H: d^T diag(E) d from little-d, not p(T)
+    d = exactspin.rotation.little_d(j, p.angles.theta)
+    h = d.T @ (energy_values(p, j)[:, None] * d)
     rng = np.random.default_rng(3)
     v = rng.normal(size=17) + 1j * rng.normal(size=17)
     np.testing.assert_allclose(apply_hamiltonian(p, j, v), h @ v, atol=1e-10)

@@ -14,10 +14,10 @@ from exactspin import (
     ModelParams,
     RotationAngles,
     apply_hamiltonian,
+    energy_values,
     evolve_observable,
     exact_spectrum,
     little_d,
-    model_hamiltonian,
     operator_matrix,
     rotated_basis_state,
     rotated_observable,
@@ -71,7 +71,9 @@ def test_apply_hamiltonian_matches_dense_at_half_integer_j(phi):
                     angles=RotationAngles(2.0, phi))
     rng = np.random.default_rng(3)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
-    ref = model_hamiltonian(p, j) @ v
+    # an independent dense H: d^T diag(E) d from little-d, not p(T)
+    d = little_d(j, p.angles.theta)
+    ref = d.T @ (energy_values(p, j)[:, None] * d) @ v
     np.testing.assert_allclose(apply_hamiltonian(p, j, v), ref, rtol=0,
                                atol=1e-11 * np.max(np.abs(ref)))
 
