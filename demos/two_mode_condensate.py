@@ -2,9 +2,9 @@
 
 Maps the rotated model's parameters to the two-mode coupling constants
 (detuning, Josephson exchange, elastic and inelastic collisions), then
-measures how the printed two-mode expansion deviates from the rotated-
-diagonal ground truth: every deviation is a fixed convention factor,
-constant across theta.
+measures how the printed two-mode expansion deviates from the model
+H = p(T): every deviation is a fixed convention factor, constant across
+theta.
 """
 
 import numpy as np

@@ -23,7 +23,6 @@ import configparser
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -69,16 +68,16 @@ class ConfigError(Exception):
     """Invalid or missing configuration."""
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal for a float."""
-    return repr(float(x))
-
-
 def _write_atomic(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".part")
+    """Write a temp file beside path, then rename it over path.
+
+    open's exclusive mode creates it with the umask's mode, as a plain open
+    of path would; pid and random bytes make its name this call's alone."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp_{os.getpid()}_{os.urandom(8).hex()}.part")
+    fh = open(tmp, "x", newline="")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with fh:
             fh.write(content)
         os.replace(tmp, path)
     except BaseException:
@@ -90,7 +89,8 @@ def _write_atomic(path: str, content: str) -> None:
 def _meta_text(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
-    return value if isinstance(value, str) else _fmt(value)
+    # a float as its shortest round-trip decimal
+    return value if isinstance(value, str) else repr(float(value))
 
 
 def _write_table(path: str, fmt: str, columns: dict, meta: dict | None = None) -> None:
@@ -115,7 +115,7 @@ def _write_table(path: str, fmt: str, columns: dict, meta: dict | None = None) -
         return
     lines = [f"# {key}={_meta_text(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
-    # each column formatted once, as _fmt would format each value
+    # each column formatted once, as _meta_text formats one float
     cols = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns.values()]
     lines += map(",".join, zip(*cols))
     _write_atomic(path, "\n".join(lines) + "\n")
@@ -125,20 +125,9 @@ def _read_config(path: str | None) -> dict[str, dict[str, str]]:
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    loaded = parser.read(path)
-    if not loaded:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
-    sections: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in ALLOWED_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        allowed = ALLOWED_KEYS[section]
-        values = dict(parser.items(section))
-        unknown = set(values) - allowed
-        if unknown:
-            raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
-        sections[section] = values
-    return sections
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def _parse_coeffs(text: str) -> tuple[float, ...]:
@@ -160,7 +149,7 @@ def _get(section: dict[str, str], key: str, cast, default=None):
         raise ConfigError(f"missing required key {key!r}")
     try:
         return cast(section[key])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"bad value for {key!r}: {section[key]!r}") from exc
 
 
@@ -198,9 +187,12 @@ def _build_model(config: dict) -> tuple[ModelParams, HalfInt]:
 def _refuse_unread(config: dict, command: str) -> None:
     """Raise ConfigError (exit 2) on any section or key that command does not read.
 
-    The table commands call this once the model has passed its size check, so
-    that check keeps its own message."""
+    A section no command reads is refused even when it is empty; an empty
+    section of another command is not.  The table commands call this once
+    the model has passed its size check, so that check keeps its own message."""
     for section, values in config.items():
+        if section not in ALLOWED_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
         unread = set(values) - _COMMAND_KEYS[command].get(section, set())
         if unread:
             raise ConfigError(f"{command} does not read [{section}] "
@@ -298,8 +290,9 @@ def cmd_evolve(config: dict) -> int:
         raise ConfigError(f"t_min and t_max must be finite, got {t_min!r} and {t_max!r}")
     if num_points < 2 or not t_max > t_min:
         raise ConfigError("need num_points >= 2 and t_max > t_min")
+    # configparser's boolean words; any other word is a bad value
     include_printed = _get(section, "include_printed_formula",
-                           lambda s: s.strip().lower() in ("1", "true", "yes"),
+                           lambda s: configparser.ConfigParser.BOOLEAN_STATES[s.strip().lower()],
                            default=params.order == 2)
     from .dynamics import evolve_series
 

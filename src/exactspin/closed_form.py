@@ -124,17 +124,10 @@ def _closed_form_quadratic(params: ModelParams, j: HalfInt) -> tuple[int, bool]:
         if e_below == e_above:
             return below, True
         return (below, False) if e_below < e_above else (min(above, j.twice), False)
-    if a2 < 0:
-        # concave parabola: minimum at an endpoint, sign of a1 decides
-        if a1 == 0:
-            return -j.twice, j.twice > 0
-        return (j.twice, False) if a1 < 0 else (-j.twice, False)
-    # a2 == 0: linear
-    if a1 > 0:
-        return -j.twice, False
-    if a1 < 0:
-        return j.twice, False
-    return -j.twice, j.twice > 0
+    # concave or linear: minimum at an endpoint, sign of a1 decides
+    if a1 == 0:
+        return -j.twice, j.twice > 0
+    return (j.twice, False) if a1 < 0 else (-j.twice, False)
 
 
 def ground_state(params: ModelParams, j) -> GroundStateResult:

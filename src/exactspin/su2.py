@@ -73,9 +73,6 @@ class HalfInt:
     def __float__(self) -> float:
         return self.value
 
-    def __repr__(self) -> str:
-        return f"HalfInt(twice={self.twice})"
-
     def __str__(self) -> str:
         if self.twice % 2 == 0:
             return str(self.twice // 2)

@@ -176,14 +176,8 @@ class FockSector:
         return np.arange(self.dim, dtype=np.float64)
 
     def exchange_matrix(self) -> np.ndarray:
-        """Matrix of a†b on the sector: sqrt((n_a+1) n_b) on the lower band."""
-        na = self.occupations_a()
-        nb = self.n_total - na
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        mat[np.arange(1, self.dim), np.arange(self.dim - 1)] = np.sqrt(
-            (na[:-1] + 1.0) * nb[:-1]
-        )
-        return mat
+        """Matrix of a†b on the sector: under the Schwinger map it is J+ of spin N/2."""
+        return operator_matrix(self.j, "Jplus")
 
 
 def fock_hamiltonian(coeffs: TwoModeCoefficients, sector: FockSector,

@@ -611,3 +611,67 @@ def test_write_table_gives_the_bytes_of_per_value_formatting(tmp_path):
     _write_table(str(json_path), "json", columns, meta)
     doc = {**meta, **{name: [float(x) for x in col] for name, col in columns.items()}}
     assert json_path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
+
+_UNKNOWN = {"unknown-section": "[mystery]\nkey = 1\n",
+            "empty-unknown-section": "[mystery]\n"}
+
+
+@pytest.mark.parametrize("case", ["unknown-section", "empty-unknown-section", "unknown-key"])
+@pytest.mark.parametrize("command", ["spectrum", "ground", "evolve", "verify"])
+def test_unknown_config_sections_and_keys_are_refused(tmp_path, capsys, command, case):
+    own = {"spectrum": _MODEL_SECTION, "ground": _MODEL_SECTION,
+           "evolve": _MODEL_SECTION + _EVOLVE_SECTION, "verify": "[verify]\ndraws = 1\n"}[command]
+    extra = _UNKNOWN.get(case, "what = 1\n")  # an unknown key lands in the last own section
+    cfg = write_config(tmp_path, "unknown.ini", own + extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert os.listdir(tmp_path) == ["unknown.ini"]
+    err = capsys.readouterr().err
+    assert ("mystery" if case != "unknown-key" else "what") in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "ground"])
+def test_an_empty_section_of_another_command_is_accepted(tmp_path, command):
+    cfg = write_config(tmp_path, "empty.ini", _MODEL_SECTION + "[verify]\n[evolve]\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("word,printed", [
+    ("on", True), ("ON", True), ("Yes", True), ("1", True), ("true", True),
+    ("off", False), ("No", False), ("0", False), ("FALSE", False)])
+def test_include_printed_formula_reads_configparser_boolean_words(tmp_path, word, printed):
+    cfg = write_config(tmp_path, "b.ini", _MODEL_SECTION + _EVOLVE_SECTION
+                       + f"include_printed_formula = {word}\n")
+    out = tmp_path / "b.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    header = out.read_text().splitlines()[0]
+    assert ("jz_paper_formula" in header) is printed
+
+
+@pytest.mark.parametrize("word", ["maybe", "ture", "y", ""])
+def test_include_printed_formula_refuses_other_words(tmp_path, capsys, word):
+    cfg = write_config(tmp_path, "b.ini", _MODEL_SECTION + _EVOLVE_SECTION
+                       + f"include_printed_formula = {word}\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == EXIT_CONFIG
+    assert os.listdir(tmp_path) == ["b.ini"]
+    assert "include_printed_formula" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=["022", "027", "002"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--j", "4", "--A", "0,1,0.05", "--theta", "1.1"],
+    ["verify", "--max-j", "4", "--draws", "1"],
+], ids=["spectrum", "verify"])
+def test_outputs_take_the_umask_mode_and_leave_no_temp_file(tmp_path, argv, umask):
+    old = os.umask(umask)
+    try:
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        # a failed rename (the target is a directory) removes its temp file
+        (tmp_path / "taken").mkdir()
+        assert main(argv + ["--out", str(tmp_path / "taken")]) == EXIT_IO
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out").stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(os.listdir(tmp_path)) == ["out", "taken"]
+    assert os.listdir(tmp_path / "taken") == []

@@ -244,6 +244,17 @@ def test_fock_sector_identification():
         FockSector(-1)
 
 
+@pytest.mark.parametrize("n", range(61))
+def test_exchange_matrix_is_jplus_bitwise(n):
+    # a†b from occupations, sqrt((n_a + 1) n_b) on the lower band, is J+ of spin N/2 to the bit
+    na = np.arange(n, dtype=np.float64)
+    fock = np.zeros((n + 1, n + 1), dtype=complex)
+    fock[np.arange(1, n + 1), np.arange(n)] = np.sqrt((na + 1.0) * (n - na))
+    jplus = operator_matrix(HalfInt(n), "Jplus")
+    assert np.array_equal(FockSector(n).exchange_matrix(), jplus)
+    assert np.array_equal(fock, jplus)
+
+
 def test_fock_hamiltonian_offset_only():
     coeffs = two_mode_coefficients(ModelParams.quadratic(0.0, 1.0, theta=0.0), 4)
     # theta=0 kills everything except offset and elastic; zero those by hand
