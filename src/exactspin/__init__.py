@@ -13,42 +13,11 @@ suite (verify) are resolved through _LAZY, which imports their module on
 first use, so a command pays only for the modules it runs.
 """
 
-from .su2 import (
-    HalfInt,
-    as_halfint,
-    commutator,
-    dicke_index,
-    is_hermitian,
-    is_unitary,
-    ladder_coeff,
-    m_floats,
-    m_values,
-    operator_matrix,
-    validate_jm,
-)
-from .rotation import (
-    RotationAngles,
-    apply_rotation,
-    little_d,
-    little_d_row,
-    rotated_basis_state,
-    rotate_operator,
-    rotation_matrix,
-)
-from .model import (
-    ModelParams,
-    apply_hamiltonian,
-    diagonal_hamiltonian,
-    energy_values,
-    model_hamiltonian,
-)
-from .closed_form import (
-    EigenPair,
-    GroundStateResult,
-    exact_spectrum,
-    ground_state,
-    residual_norm,
-)
+from . import closed_form, model, rotation, su2
+from .su2 import *
+from .rotation import *
+from .model import *
+from .closed_form import *
 
 __version__ = "0.1.0"
 
@@ -67,10 +36,8 @@ _LAZY = {name: module for module, names in {
                "run_required_checks"),
 }.items() for name in names}
 
-# the names imported above, without the submodules those imports bound, and the lazy ones
-__all__ = [name for name in globals()
-           if not name.startswith("_") and name not in ("su2", "rotation", "model", "closed_form")]
-__all__ += _LAZY
+# each eager module's __all__ is the one list of its names
+__all__ = [*su2.__all__, *rotation.__all__, *model.__all__, *closed_form.__all__, *_LAZY]
 
 
 def __getattr__(name):

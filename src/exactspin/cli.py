@@ -48,6 +48,8 @@ EVOLVE_MAX_BYTES = 1 << 30
 # and the twice_j <= 8191 cap stay only because tests pin them; ground and the other
 # evolve paths are O(dim) but share the cap
 DENSE_MAX_BYTES = 1 << 32
+# verify's peak RSS grows by about 49 KB per oracle draw, so this cap keeps it near 0.5 GB
+VERIFY_MAX_DRAWS = 10_000
 
 _MODEL = {"twice_j", "coeffs", "theta", "phi"}
 _OUTPUT = {"path", "format"}
@@ -209,7 +211,7 @@ def _output_target(config: dict, default_name: str, command: str) -> tuple[str, 
     return path, fmt
 
 
-def _parse_initial(spec: str, params: ModelParams, j: HalfInt) -> EigenbasisState:
+def _parse_initial(spec: str, params: ModelParams, j: HalfInt):
     from .dynamics import EigenbasisState, _dicke_state, to_eigenbasis
 
     kind, _, rest = spec.partition(":")
@@ -233,10 +235,15 @@ def _parse_initial(spec: str, params: ModelParams, j: HalfInt) -> EigenbasisStat
             raise ConfigError(f"bad amplitude list: {rest!r}") from exc
         if amps.size != dim:
             raise ConfigError(f"amplitude list has {amps.size} entries, expected {dim}")
-        norm = np.linalg.norm(amps)
-        if norm == 0.0:
+        if not np.all(np.isfinite(amps)):
+            raise ConfigError(f"amplitude list has non-finite entries: {rest!r}")
+        if not np.any(amps):
             raise ConfigError("amplitude list is all zeros")
-        return to_eigenbasis(params, j, amps / norm)
+        # the exact power of two that takes the largest |real or imaginary part| into [1, 2):
+        # the norm can neither overflow nor underflow, and amps / norm keeps its bits
+        parts = amps.view(float)
+        np.ldexp(parts, 1 - np.frexp(np.max(np.abs(parts)))[1], out=parts)
+        return to_eigenbasis(params, j, amps / np.linalg.norm(amps))
     raise ConfigError(f"initial state must be dicke:TWICE_M, rotated:TWICE_M, or "
                       f"amplitudes:..., got {spec!r}")
 
@@ -312,9 +319,9 @@ def cmd_verify(config: dict) -> int:
     max_twice_j = _get(section, "max_twice_j", int, default=24)
     draws = _get(section, "draws", int, default=40)
     seed = _get(section, "seed", int, default=0)
-    if max_twice_j < 1 or draws < 1 or seed < 0:
-        raise ConfigError(f"need max_twice_j >= 1, draws >= 1 and seed >= 0, "
-                          f"got {max_twice_j}, {draws} and {seed}")
+    if max_twice_j < 1 or not 1 <= draws <= VERIFY_MAX_DRAWS or seed < 0:
+        raise ConfigError(f"need max_twice_j >= 1, 1 <= draws <= {VERIFY_MAX_DRAWS} and "
+                          f"seed >= 0, got {max_twice_j}, {draws} and {seed}")
     import json
 
     from .verify import build_report  # the oracle layer loads only for this command

@@ -53,8 +53,8 @@ def exact_spectrum(params: ModelParams, j) -> list[EigenPair]:
             for twice_m, e, v in zip(range(-j.twice, j.twice + 1, 2), energies, vecs)]
 
 
-def _exact_energy(params: ModelParams, twice_m: int) -> Fraction:
-    """E_m in exact rational arithmetic (floats are embedded exactly)."""
+def _exact_energy(params: ModelParams, twice_m: int):
+    """E_m as an exact Fraction (floats are embedded exactly)."""
     from fractions import Fraction
 
     m = Fraction(twice_m, 2)

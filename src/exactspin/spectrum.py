@@ -19,37 +19,15 @@ model_hamiltonian, a polynomial in the tridiagonal T = U† Jz U built with
 no rotation code, so agreement with {E_m} shows spec p(T) = {p(m)}
 without trusting little-d; the closed-form eigenvectors are certified
 separately, by their residuals ||Hv - Ev||.
-
-The closed form itself (exact_spectrum, ground_state, residual_norm and
-their types) lives in closed_form and is re-exported here unchanged.  The
-package and the CLI import it from there, so only the oracle's users
-load this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .closed_form import (  # noqa: F401  (re-exported)
-    EigenPair,
-    GroundStateResult,
-    _closed_form_quadratic,
-    _exact_energy,
-    _scan_minimum,
-    exact_spectrum,
-    ground_state,
-    residual_norm,
-)
 from .su2 import is_hermitian
 
-__all__ = [
-    "EigenPair",
-    "exact_spectrum",
-    "GroundStateResult",
-    "ground_state",
-    "residual_norm",
-    "brute_diagonalize",
-]
+__all__ = ["brute_diagonalize"]
 
 ORACLE_MAX_DIM = 201
 # bisection alone takes a half gap (< 4 after scaling) to 16 ulps of the smallest

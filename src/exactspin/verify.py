@@ -122,8 +122,8 @@ def series_expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _random_params(rng: np.random.Generator, max_order: int = 4) -> ModelParams:
-    order = int(rng.integers(1, max_order + 1))
+def _random_params(rng: np.random.Generator) -> ModelParams:
+    order = int(rng.integers(1, 5))
     coeffs = tuple(rng.uniform(-2.0, 2.0, size=order + 1))
     theta = float(rng.uniform(1e-3, np.pi - 1e-3))
     phi = float(rng.uniform(0.0, 2.0 * np.pi))

@@ -28,7 +28,7 @@ from exactspin import (
     to_eigenbasis,
 )
 from exactspin.cli import EXIT_OK, main
-from exactspin.spectrum import _closed_form_quadratic, _exact_energy, _scan_minimum
+from exactspin.closed_form import _closed_form_quadratic, _exact_energy, _scan_minimum
 from exactspin.verify import CV_LIMIT, run_diagnostic_sweeps
 
 FIG2 = ModelParams.quadratic(1.0, 0.01, theta=1.5, phi=0.0)

@@ -19,14 +19,15 @@ from exactspin.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    VERIFY_MAX_DRAWS,
     _make_parser,
     _parse_initial,
     main,
 )
+from exactspin.closed_form import exact_spectrum, residual_norm
 from exactspin.dynamics import evolve_observable, paper_jz_series, to_eigenbasis
 from exactspin.model import ModelParams
 from exactspin.rotation import RotationAngles, rotated_basis_state
-from exactspin.spectrum import exact_spectrum, residual_norm
 from exactspin.su2 import HalfInt, dicke_index
 
 
@@ -169,6 +170,37 @@ def test_amplitude_initial_state(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc) == {"t", "jz_exact", "jz_paper_formula", "jy_exact"}
     assert len(doc["t"]) == 100
+
+
+@pytest.mark.parametrize("amplitudes,shift", [("1e200,1e200,0", -600), ("1e-320,0,0", 1100)])
+def test_amplitudes_are_normalized_at_any_finite_scale(tmp_path, amplitudes, shift):
+    # the norm neither overflows nor underflows, and the run matches the same list
+    # times 2**shift, a moderate scale, bit for bit
+    plain = ",".join(repr(math.ldexp(float(tok), shift)) for tok in amplitudes.split(","))
+    texts = []
+    for name, amps in (("scaled", amplitudes), ("plain", plain)):
+        cfg = write_config(
+            tmp_path, f"{name}.ini",
+            "[model]\ntwice_j = 2\ncoeffs = 0,1,0.1\ntheta = 0.7\nphi = 0.3\n"
+            f"[evolve]\nt_max = 5.0\nnum_points = 20\ninitial = amplitudes:{amps}\n",
+        )
+        out = tmp_path / f"{name}.csv"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("amplitudes", ["nan,0,0", "inf,0,0"])
+def test_non_finite_amplitudes_are_config_errors(tmp_path, capsys, amplitudes):
+    cfg = write_config(
+        tmp_path, "amp.ini",
+        "[model]\ntwice_j = 2\ncoeffs = 0,1,0.1\ntheta = 0.7\n"
+        f"[evolve]\nt_max = 5.0\nnum_points = 20\ninitial = amplitudes:{amplitudes}\n",
+    )
+    out = tmp_path / "amp.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "amplitude list has non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_recipes_deterministic_across_runs_and_threads(tmp_path):
@@ -336,8 +368,11 @@ def test_each_table_command_reads_its_own_config_sections(tmp_path, command, sec
     ([], "draws = -1\n"),
     (["--seed", "-1"], ""),
     ([], "seed = -2\n"),
+    (["--draws", str(10**15)], ""),
+    ([], f"draws = {VERIFY_MAX_DRAWS + 1}\n"),
 ], ids=["max-j-flag-0", "draws-flag-0", "draws-flag-negative", "max_twice_j-key-0",
-        "draws-key-negative", "seed-flag-negative", "seed-key-negative"])
+        "draws-key-negative", "seed-flag-negative", "seed-key-negative", "draws-flag-huge",
+        "draws-key-over-cap"])
 def test_verify_bad_sizes_are_config_errors(tmp_path, argv, section):
     cfg = write_config(tmp_path, "verify.ini", "[verify]\n" + section)
     out = tmp_path / "report.json"

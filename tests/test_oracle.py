@@ -291,9 +291,10 @@ def test_mirror_symmetric_tridiagonal_deflates_by_rotation(n):
     np.testing.assert_allclose(w, exact, rtol=0, atol=1e-14)
 
 
-def test_leaves_rotate_couplings_below_the_jacobi_tolerance():
-    # every coupling (3e-15) sits below JACOBI_TOL; the leaves still rotate
-    # them away, down to the tolerance of the merges
+def test_couplings_just_above_the_deflation_tolerance_stay_tight():
+    # every coupling (3e-15) sits just above _deflate's tolerance 8·eps·scale ≈ 1.8e-15,
+    # so the leaf merges keep every pole live and solve each one, while every merge
+    # above them deflates all but two poles
     n = 201
     h = np.diag(np.linspace(-1.0, 1.0, n)) + 3e-15 * (np.eye(n, k=1) + np.eye(n, k=-1))
     w, v = brute_diagonalize(h)

@@ -17,11 +17,8 @@ from exactspin import (
     operator_matrix,
     residual_norm,
 )
-from exactspin.spectrum import (
-    ORACLE_MAX_DIM,
-    _closed_form_quadratic,
-    _scan_minimum,
-)
+from exactspin.closed_form import _closed_form_quadratic, _scan_minimum
+from exactspin.spectrum import ORACLE_MAX_DIM
 
 
 def test_exact_spectrum_trivial_at_theta_zero():
