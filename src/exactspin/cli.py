@@ -2,12 +2,12 @@
 
 Configs are INI files (key = value, one section per concern).  Each value
 flag but --config and --threads sets the config key its dest names
-('section.key'), and a given flag overrides the file.  A command reads only
-its own sections: spectrum and ground [model] and [output], evolve those and
-[evolve], verify [verify] and [output] path; any other section or key exits
-2.  Outputs are CSV or JSON written atomically (temp file + rename), with
-shortest round-trip float formatting and '\n' line endings so identical
-inputs give byte-identical files.  Exit codes: 0 success, 2 config
+('section.key') to its text, and a given flag overrides the file.  A command
+reads only its own sections: spectrum and ground [model] and [output], evolve
+those and [evolve], verify [verify] and [output] path; any other section or
+key exits 2.  Outputs are CSV or JSON written atomically (temp file +
+rename), with shortest round-trip float formatting and '\n' line endings so
+identical inputs give byte-identical files.  Exit codes: 0 success, 2 config
 validation error, 3 numerical check failure (verify), 4 I/O error.
 
 Each command imports what only it runs where it runs it: evolve loads
@@ -161,7 +161,7 @@ def _settings(args) -> dict[str, dict[str, str]]:
     for dest, value in vars(args).items():
         section, dot, key = dest.partition(".")
         if dot and value is not None:
-            config.setdefault(section, {})[key] = str(value)
+            config.setdefault(section, {})[key] = value
     return config
 
 
@@ -240,10 +240,12 @@ def _parse_initial(spec: str, params: ModelParams, j: HalfInt):
         if not np.any(amps):
             raise ConfigError("amplitude list is all zeros")
         # the exact power of two that takes the largest |real or imaginary part| into [1, 2):
-        # the norm can neither overflow nor underflow, and amps / norm keeps its bits
+        # the norm can neither overflow nor underflow; each part is then divided by it as a
+        # real float, correctly rounded (complex division by norm + 0j is not)
         parts = amps.view(float)
         np.ldexp(parts, 1 - np.frexp(np.max(np.abs(parts)))[1], out=parts)
-        return to_eigenbasis(params, j, amps / np.linalg.norm(amps))
+        parts /= np.linalg.norm(amps)
+        return to_eigenbasis(params, j, amps)
     raise ConfigError(f"initial state must be dicke:TWICE_M, rotated:TWICE_M, or "
                       f"amplitudes:..., got {spec!r}")
 
@@ -326,7 +328,11 @@ def cmd_verify(config: dict) -> int:
 
     from .verify import build_report  # the oracle layer loads only for this command
 
-    report = build_report(max_twice_j=max_twice_j, draws=draws, seed=seed)
+    try:
+        report = build_report(max_twice_j=max_twice_j, draws=draws, seed=seed)
+    except RuntimeError as exc:  # a library self-check (ground-state rule, oracle) failed
+        print(f"[FAIL] {exc}", file=sys.stderr)
+        return EXIT_CHECK
     text = json.dumps(report, indent=2) + "\n"
     if path := config.get("output", {}).get("path"):
         _write_atomic(path, text)
@@ -364,18 +370,18 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; computation is "
                             "deterministic and single-process")
         if name == "verify":
-            p.add_argument("--max-j", dest="verify.max_twice_j", type=int, metavar="TWICE_J",
+            p.add_argument("--max-j", dest="verify.max_twice_j", metavar="TWICE_J",
                            help="cap the oracle comparisons at this doubled spin")
-            p.add_argument("--draws", dest="verify.draws", type=int, help="number of random draws")
-            p.add_argument("--seed", dest="verify.seed", type=int, help="random seed")
+            p.add_argument("--draws", dest="verify.draws", help="number of random draws")
+            p.add_argument("--seed", dest="verify.seed", help="random seed")
             continue
-        p.add_argument("--format", dest="output.format", choices=("csv", "json"),
-                       help="output format")
-        p.add_argument("--j", dest="model.twice_j", type=int, metavar="TWICE_J",
+        p.add_argument("--format", dest="output.format", metavar="csv|json", help="output format")
+        p.add_argument("--j", dest="model.twice_j", metavar="TWICE_J",
                        help="doubled total spin (e.g. 200 for j=100)")
-        p.add_argument("--theta", dest="model.theta", type=float,
+        p.add_argument("--theta", dest="model.theta", metavar="THETA",
                        help="rotation angle theta (radians)")
-        p.add_argument("--phi", dest="model.phi", type=float, help="rotation angle phi (radians)")
+        p.add_argument("--phi", dest="model.phi", metavar="PHI",
+                       help="rotation angle phi (radians)")
         p.add_argument("--A", dest="model.coeffs", metavar="a0,a1,...",
                        help="comma-separated polynomial coefficients")
     return parser

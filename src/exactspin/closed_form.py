@@ -7,10 +7,10 @@ basis states U†|j,m>, each certified by its residual ||Hv - Ev||.
 Ground-state selection follows the quadratic classification (vertex of
 the energy parabola, clamped to the magnetic range), generalized from
 integer m to the half-integer grid, and is always cross-checked against
-an exhaustive scan.  Energy comparisons near ties are done in exact
-rational arithmetic so degeneracy flags do not depend on float rounding;
-fractions is imported only then, so the spectrum and evolve commands
-never load it.
+an exhaustive scan.  Each only names candidate m values; one exact
+rational comparison picks among them and flags degeneracy, so neither
+depends on float rounding.  fractions is imported only then, so the
+spectrum and evolve commands never load it.
 """
 
 from __future__ import annotations
@@ -72,62 +72,44 @@ class GroundStateResult:
     method: str  # "closed_form" or "scan"
 
 
+def _exact_minimum(params: ModelParams, candidates) -> tuple[int, bool]:
+    """(twice_m0, degenerate) over ascending candidates twice_m: exact, ties to the lower m."""
+    energies = [_exact_energy(params, int(t)) for t in candidates]
+    best = min(energies)
+    return int(candidates[energies.index(best)]), energies.count(best) >= 2
+
+
 def _scan_minimum(params: ModelParams, j: HalfInt) -> tuple[int, bool]:
     """Exhaustive minimum over the m grid: (twice_m0, degenerate).
 
-    Float evaluation locates candidates; the winner and the degeneracy
-    flag are decided by exact rational comparison among every m whose
-    float energy sits within the evaluation error bound of the float
-    minimum; when that window is not finite (an overflowing energy), among
-    every m.  Ties go to the lower m.
-    """
+    The candidates are every m whose float energy sits within the evaluation
+    error bound of the float minimum, or every m when that window is not
+    finite (an overflowing energy)."""
     energies = energy_values(params, j)
     twice_grid = np.arange(-j.twice, j.twice + 1, 2)
     jmag = max(1.0, j.twice / 2.0)
     scale = sum(abs(a) * jmag**i for i, a in enumerate(params.coeffs))
     window = 64.0 * np.finfo(float).eps * max(scale, 1.0) * (params.order + 1)
     bound = float(np.min(energies)) + window
-    candidates = twice_grid[energies <= bound] if math.isfinite(bound) else twice_grid
-    best_t = None
-    best_e = None
-    hits = 0
-    for t in candidates:
-        e = _exact_energy(params, int(t))
-        if best_e is None or e < best_e:
-            best_e = e
-            best_t = int(t)
-            hits = 1
-        elif e == best_e:
-            hits += 1
-    return best_t, hits >= 2
+    return _exact_minimum(params, twice_grid[energies <= bound] if math.isfinite(bound)
+                          else twice_grid)
 
 
 def _closed_form_quadratic(params: ModelParams, j: HalfInt) -> tuple[int, bool]:
-    """Vertex-based minimum of E_m = a0 + a1 m + a2 m^2 on the m grid."""
+    """Vertex-based minimum of E_m = a0 + a1 m + a2 m^2 on the m grid.
+
+    The candidates are the grid points on either side of the vertex, clamped
+    to the range, or both range ends when a2 <= 0 (concave or linear)."""
     from fractions import Fraction
 
     _, a1, a2 = params.coeffs
+    lo, hi = -j.twice, j.twice
     if a2 > 0:
-        # nearest valid m to the parabola vertex, clamped to the range ends
-        vertex_twice = Fraction(-a1) / Fraction(a2)  # = 2 * (-a1 / (2 a2))
-        lo = Fraction(-j.twice)
-        hi = Fraction(j.twice)
-        if vertex_twice <= lo:
-            return -j.twice, False
-        if vertex_twice >= hi:
-            return j.twice, False
-        steps = (vertex_twice + j.twice) / 2
-        below = -j.twice + 2 * (steps.numerator // steps.denominator)
-        above = below + 2
-        e_below = _exact_energy(params, below)
-        e_above = _exact_energy(params, min(above, j.twice))
-        if e_below == e_above:
-            return below, True
-        return (below, False) if e_below < e_above else (min(above, j.twice), False)
-    # concave or linear: minimum at an endpoint, sign of a1 decides
-    if a1 == 0:
-        return -j.twice, j.twice > 0
-    return (j.twice, False) if a1 < 0 else (-j.twice, False)
+        below = lo + 2 * math.floor((Fraction(-a1) / Fraction(a2) - lo) / 2)
+        candidates = {min(max(t, lo), hi) for t in (below, below + 2)}
+    else:
+        candidates = {lo, hi}
+    return _exact_minimum(params, sorted(candidates))
 
 
 def ground_state(params: ModelParams, j) -> GroundStateResult:

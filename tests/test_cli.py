@@ -10,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
+import exactspin.closed_form
 import exactspin.dynamics
 import exactspin.rotation
+import exactspin.spectrum
 import exactspin.verify
 from exactspin.cli import (
     ALLOWED_KEYS,
@@ -710,3 +712,89 @@ def test_outputs_take_the_umask_mode_and_leave_no_temp_file(tmp_path, argv, umas
     assert (tmp_path / "out").stat().st_mode & 0o777 == 0o666 & ~umask
     assert sorted(os.listdir(tmp_path)) == ["out", "taken"]
     assert os.listdir(tmp_path / "taken") == []
+
+
+@pytest.mark.parametrize("broken", ["ground-rule-degeneracy", "secular-steps"])
+def test_verify_exits_3_when_a_library_self_check_raises(tmp_path, capsys, monkeypatch, broken):
+    # ground_state's rule-vs-scan cross-check and the oracle's secular solver raise
+    # RuntimeError; verify reports it as a failed check, with no report and no traceback
+    if broken == "secular-steps":
+        monkeypatch.setattr(exactspin.spectrum, "_SECULAR_MAX_STEPS", 1)
+    else:
+        rule = exactspin.closed_form._closed_form_quadratic
+
+        def flipped(params, j):
+            twice_m0, degenerate = rule(params, j)
+            return twice_m0, not degenerate
+
+        monkeypatch.setattr(exactspin.closed_form, "_closed_form_quadratic", flipped)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--max-j", "6", "--draws", "2", "--out", str(out)]) == EXIT_CHECK
+    err = capsys.readouterr().err
+    assert err.startswith("[FAIL] ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_amplitude_lists_equal_up_to_scale_give_the_same_bytes(tmp_path):
+    # 1e-320 scales to a part in [1, 2) other than 1; divided by its norm as a real float
+    # it is exactly 1, so both lists start from the same unit vector
+    texts = []
+    for name, amps in (("tiny", "1e-320,0,0"), ("unit", "1,0,0")):
+        cfg = write_config(
+            tmp_path, f"{name}.ini",
+            "[model]\ntwice_j = 2\ncoeffs = 0,1,0.1\ntheta = 0.7\nphi = 0.3\n"
+            f"[evolve]\nt_max = 5.0\nnum_points = 20\ninitial = amplitudes:{amps}\n",
+        )
+        out = tmp_path / f"{name}.csv"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
+_EVOLVE_J2 = "[model]\ntwice_j = 2\ncoeffs = 0,1,0.05\ntheta = 1.1\n[evolve]\nt_max = 10.0\n"
+
+
+@pytest.mark.parametrize("command,config,flags,message", [
+    ("spectrum", _MODEL_SECTION + "[output]\nformat = xml\n", [], "format must be csv or json"),
+    ("spectrum", "[model]\ntwice_j = -1\ncoeffs = 0,1\ntheta = 0.5\n", [],
+     "twice_j must be nonnegative"),
+    ("spectrum", "[model]\ntwice_j = 4\ncoeffs = 0,inf\ntheta = 0.5\n", [],
+     "coefficients must be finite"),
+    ("ground", "[model]\ntwice_j = 4\ncoeffs = 0,1\ntheta = nan\n", [], "theta must be finite"),
+    ("evolve", _EVOLVE_J2 + "num_points = 5\ninitial = amplitudes:1,x,0\n", [],
+     "bad amplitude list"),
+    ("evolve", _EVOLVE_J2 + "num_points = 5\ninitial = amplitudes:1,0\n", [],
+     "amplitude list has 2 entries, expected 3"),
+    ("evolve", _EVOLVE_J2 + "num_points = 5\ninitial = amplitudes:0,0,0\n", [],
+     "amplitude list is all zeros"),
+    ("evolve", _EVOLVE_J2 + "num_points = 5\ninitial = coherent:1\n", [],
+     "initial state must be"),
+    ("evolve", _EVOLVE_J2 + "num_points = 1\ninitial = dicke:2\n", [], "num_points >= 2"),
+    ("evolve", _EVOLVE_J2 + "t_min = 10.0\nnum_points = 5\ninitial = dicke:2\n", [],
+     "t_max > t_min"),
+    ("spectrum", _MODEL_SECTION, ["--j", "abc"], "bad value for 'twice_j': 'abc'"),
+    ("verify", "[verify]\n", ["--draws", "2.5"], "bad value for 'draws': '2.5'"),
+], ids=["format-xml", "twice_j-negative", "coeffs-inf", "theta-nan", "amplitudes-bad-token",
+        "amplitudes-short", "amplitudes-all-zero", "initial-unknown-kind", "num_points-1",
+        "t_max-equals-t_min", "flag-j-abc", "flag-draws-float"])
+def test_refused_values_exit_2_with_a_message_and_no_output(tmp_path, capsys, command, config,
+                                                           flags, message):
+    cfg = write_config(tmp_path, "c.ini", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == EXIT_CONFIG
+    assert os.listdir(tmp_path) == ["c.ini"]
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_format_flag_is_read_like_its_config_key(tmp_path):
+    # the flag's text is the config key's text, so --format takes any case as the file does
+    outs = []
+    for name, config, flags in (("flag", _MODEL_SECTION, ["--format", "json"]),
+                                ("flag-upper", _MODEL_SECTION, ["--format", "JSON"]),
+                                ("file-upper", _MODEL_SECTION + "[output]\nformat = JSON\n", [])):
+        cfg = write_config(tmp_path, f"{name}.ini", config)
+        out = tmp_path / f"{name}.json"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), *flags]) == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    assert set(json.loads(outs[0])) == {"m", "energy", "residual"}

@@ -1,9 +1,12 @@
 """Tests for the closed-form eigensystem, ground-state rules, and the oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactspin import (
     HalfInt,
@@ -361,3 +364,29 @@ def test_brute_diagonalize_refuses_an_oversized_view_before_copying():
         tracemalloc.stop()
     assert peak < 1 << 20
 
+
+
+def _exhaustive_ground(coeffs, twice_j):
+    """(twice_m0, degenerate) from E_m = sum a_i m^i at every grid point, in exact rationals."""
+    grid = range(-twice_j, twice_j + 1, 2)
+    energies = [sum(a * Fraction(t, 2) ** i for i, a in enumerate(coeffs)) for t in grid]
+    best = min(energies)
+    lowest = [t for t, e in zip(grid, energies) if e == best]
+    return lowest[0], len(lowest) > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.integers(1, 4), twice_j=st.integers(0, 60), twice_v=st.integers(-64, 64),
+       shape=st.lists(st.integers(-3, 3), min_size=5, max_size=5), even=st.booleans())
+def test_ground_state_is_the_exhaustive_exact_minimum(order, twice_j, twice_v, shape, even):
+    # E_m = sum_k c_k (m - v)^k with v on a grid or half-grid point; an even shape
+    # (odd c_k zeroed) ties the m pairs placed symmetrically about v
+    v = Fraction(twice_v, 2)
+    c = [0 if even and k % 2 else shape[k] for k in range(order + 1)]
+    coeffs = [sum(c[k] * math.comb(k, i) * (-v) ** (k - i) for k in range(i, order + 1))
+              for i in range(order + 1)]
+    assert all(Fraction(float(a)) == a for a in coeffs)  # the expansion is exact in floats
+    params = ModelParams(order=order, coeffs=tuple(float(a) for a in coeffs),
+                         angles=RotationAngles(0.7, 0.2))
+    result = ground_state(params, HalfInt(twice_j))
+    assert (result.m0.twice, result.degenerate) == _exhaustive_ground(coeffs, twice_j)
