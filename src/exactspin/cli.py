@@ -28,7 +28,7 @@ import numpy as np
 
 from .closed_form import ground_state
 from .model import ModelParams, apply_hamiltonian, energy_values
-from .rotation import RotationAngles, _row_blocks, little_d
+from .rotation import RotationAngles, _d_blocks
 from .su2 import HalfInt, dicke_index, m_floats
 
 __all__ = ["main", "ConfigError"]
@@ -42,9 +42,9 @@ EXIT_IO = 4
 # only num_points-long columns; this bound on num_points x dim x 8 bytes
 # predates the chunking and keeps its value because tests pin it
 EVOLVE_MAX_BYTES = 1 << 30
-# spectrum and evolve from amplitudes build the dense little-d matrix, and spectrum
-# peaks near 24 x dim^2 bytes: every row's pivots and d itself, the rest finished and
-# certified in row blocks.  The 64 x (twice_j + 1)^2 bound, its byte-budget message
+# spectrum peaks near 8 x dim^2 bytes, the forward pivots of every row (d is finished
+# and certified in row blocks and never held); evolve from amplitudes builds all of d
+# (16 x dim^2 at its peak).  The 64 x (twice_j + 1)^2 bound, its byte-budget message
 # and the twice_j <= 8191 cap stay only because tests pin them; ground and the other
 # evolve paths are O(dim) but share the cap
 DENSE_MAX_BYTES = 1 << 32
@@ -255,12 +255,11 @@ def cmd_spectrum(config: dict) -> int:
     path, fmt = _output_target(config, "spectrum.csv", "spectrum")
     energies = energy_values(params, j)
     # eigenvector k is row k of d times e^{-i phi m_k}; that phase has modulus one and
-    # drops out of ||H v - E v||, so real Horner products on blocks of d^T give every
-    # residual, with no dense temporary beside d
-    d = little_d(j, params.angles.theta)
+    # drops out of ||H v - E v||, so real Horner products on each block of rows of d, as
+    # it is finished, give every residual: d itself is never held
     residual = np.empty(j.twice + 1)
-    for block in _row_blocks(j.twice + 1, j.twice + 1):
-        vecs = d[block].T
+    for block, rows in _d_blocks(j, params.angles.theta):
+        vecs = rows.T
         hv = apply_hamiltonian(params, j, vecs)
         hv -= vecs * energies[block]
         residual[block] = np.linalg.norm(hv, axis=0)
@@ -364,16 +363,17 @@ def _make_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
-        p.add_argument("--config", help="INI config file")
-        p.add_argument("--out", dest="output.path", help="output path")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--config", metavar="PATH", help="INI config file")
+        p.add_argument("--out", dest="output.path", metavar="PATH", help="output path")
+        p.add_argument("--threads", type=int, default=1, metavar="K",
                        help="accepted for compatibility; computation is "
                             "deterministic and single-process")
         if name == "verify":
             p.add_argument("--max-j", dest="verify.max_twice_j", metavar="TWICE_J",
                            help="cap the oracle comparisons at this doubled spin")
-            p.add_argument("--draws", dest="verify.draws", help="number of random draws")
-            p.add_argument("--seed", dest="verify.seed", help="random seed")
+            p.add_argument("--draws", dest="verify.draws", metavar="N",
+                           help="number of random draws")
+            p.add_argument("--seed", dest="verify.seed", metavar="N", help="random seed")
             continue
         p.add_argument("--format", dest="output.format", metavar="csv|json", help="output format")
         p.add_argument("--j", dest="model.twice_j", metavar="TWICE_J",

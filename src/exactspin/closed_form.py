@@ -84,13 +84,14 @@ def _scan_minimum(params: ModelParams, j: HalfInt) -> tuple[int, bool]:
 
     The candidates are every m whose float energy sits within the evaluation
     error bound of the float minimum, or every m when that window is not
-    finite (an overflowing energy)."""
-    energies = energy_values(params, j)
+    finite (an overflowing energy, which is why its overflow warnings are silenced)."""
     twice_grid = np.arange(-j.twice, j.twice + 1, 2)
     jmag = max(1.0, j.twice / 2.0)
-    scale = sum(abs(a) * jmag**i for i, a in enumerate(params.coeffs))
-    window = 64.0 * np.finfo(float).eps * max(scale, 1.0) * (params.order + 1)
-    bound = float(np.min(energies)) + window
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = energy_values(params, j)
+        scale = sum(abs(a) * jmag**i for i, a in enumerate(params.coeffs))
+        window = 64.0 * np.finfo(float).eps * max(scale, 1.0) * (params.order + 1)
+        bound = float(np.min(energies)) + window
     return _exact_minimum(params, twice_grid[energies <= bound] if math.isfinite(bound)
                           else twice_grid)
 

@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 EVOLVE_OBSERVABLES = ("Jz", "Jy", "Jx")
-# bytes of one block of complex phases; evolve_series holds three at most
+# bytes of evolve_series' step-phase table at most; each chunk of anchor phases, and
+# each product formed from it, takes a quarter of this
 SERIES_CHUNK_BYTES = 1 << 22
 
 
@@ -156,7 +157,9 @@ def evolve_series(params: ModelParams, j, state: EigenbasisState, names, times) 
     printed formula, order 2 only).  Time t_{aB+b} is the anchor t_{aB} plus the step t_b - t_0
     plus a remainder r, B = isqrt(points) capped by SERIES_CHUNK_BYTES, so a chunk of anchor
     phases A gives (A * c) @ step^T per series, plus r times the same sum for d/dt.  A grid
-    with any |r| > 4 eps max|t| (a non-uniform one) takes B = 1, the direct sum."""
+    with any |r| > 4 eps max|t| (a non-uniform one) takes B = 1, the direct sum.  The phase
+    tables are exponentiated in place, and the anchors are split into chunks of equal size
+    whose phases and products each fit a quarter of SERIES_CHUNK_BYTES."""
     j = _check_j(j)
     times = np.asarray(times, dtype=float)
     if state.dim != j.twice + 1:
@@ -172,12 +175,19 @@ def evolve_series(params: ModelParams, j, state: EigenbasisState, names, times) 
         shift = (times - np.repeat(anchors, block)[:n]) - np.tile(steps, anchors.size)[:n]
         if np.all(np.abs(shift) <= tol):
             break
-    step_t = np.exp(1j * np.outer(gaps, steps))
-    rows = max(1, SERIES_CHUNK_BYTES // (16 * max(width, block)))
+    step_t = 1j * np.outer(gaps, steps)
+    np.exp(step_t, out=step_t)
+    # anchor chunks of equal size (within one), each phase table and product within a
+    # quarter of SERIES_CHUNK_BYTES, and of two anchors at least: numpy hands a 1-row
+    # product to gemv, which sums in another order than gemm
+    cap = max(1, SERIES_CHUNK_BYTES // (64 * max(width, block)))
+    chunks = max(1, min(-(-anchors.size // cap), anchors.size // 2))
+    bounds = [anchors.size * i // chunks for i in range(chunks + 1)]
     values = np.empty((n, len(coeffs)))
-    for start in range(0, anchors.size, rows):
-        phase = np.exp(1j * np.outer(anchors[start:start + rows], gaps))
-        out = values[start * block:(start + rows) * block]
+    for start, stop in zip(bounds, bounds[1:]):
+        phase = 1j * np.outer(anchors[start:stop], gaps)
+        np.exp(phase, out=phase)
+        out = values[start * block:stop * block]
         for s, c in enumerate(coeffs):
             out[:, s] = ((phase * c) @ step_t).real.ravel()[:len(out)]
         del phase  # before the next chunk's phases are formed

@@ -4,13 +4,15 @@ Sign convention: the generator exponent is +i*theta*Jy throughout, which
 is the opposite of the common Wigner convention; the two are related by
 d_here(theta) = d_textbook(-theta).
 
-Every row of little-d comes from one engine, _d_rows, with no
+Every row of little-d comes from one engine, _d_blocks, with no
 eigensystem and no matrix exponential.  Row k is the eigenvector of the
 real symmetric tridiagonal cos(theta)*Jz + sin(theta)*Jx (= U† Jz U) for
 its exactly known eigenvalue m_k, found in O(dim) by a twisted
 factorization; its sign comes from a closed form for the row's last
 entry.  The rows come out unit norm and orthogonal to ~4e-14 at dimension
-2001.  U = diag(e^{i*phi*m}) @ little_d is applied to a vector through d.
+2001, a block of rows at a time, so a caller that needs each row once (spectrum's
+certificates) never holds all of d.  U = diag(e^{i*phi*m}) @ little_d is applied
+to a vector through d.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ TWO_PI = 2.0 * math.pi
 # rows of d are finished (and spectrum certifies them) this many bytes at a time, so
 # the dozen temporaries of a block stay in cache instead of each being dim x dim
 ROW_BLOCK_BYTES = 1 << 18
+# the pivot pass looks for pivots below pivmin once per this many steps at most
+_CLAMP_CHECK_STEPS = 16
 
 
 def _row_blocks(n: int, dim: int) -> list[slice]:
@@ -81,82 +85,182 @@ def _pivots(diag: list, off2: list, pivmin: float) -> list:
     return out
 
 
-def _d_rows(j: HalfInt, theta: float, ks: np.ndarray) -> np.ndarray:
-    """Rows ks of little_d(j, theta), one per row of the result, unit norm.
+def _pivot_pass(cm: np.ndarray, mk: np.ndarray, wants: np.ndarray, off2: np.ndarray,
+                pivmin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward pivots of T - mk[c]*I for every column c, and the backward pivots they mirror.
 
+    Returns (piv, shadow), piv of shape (dim, >= n): piv[:, c] are column c's forward
+    pivots, step s in row s.  m and the ladder coefficients are exactly symmetric about
+    the middle, so the backward pivots of the mirror row (m = -mk[c]) are these negated
+    and reversed: negation commutes with every rounded step.  The pivmin clamp does not,
+    as it gives -pivmin on both sides.  So once column c clamps, first at step s, the
+    mirror's negated backward pivots g = d - b^2 / g_prev run on as their own column
+    shadow[c] of the same pass: column c's pivots before s, +pivmin at s and wherever
+    they clamp later.  Only columns with wants[c] get one; shadow[c] = c for the rest.
+
+    The steps run unchecked, up to _CLAMP_CHECK_STEPS at a time.  The first step of a
+    run with a pivot below pivmin is clamped, the steps after it are run again, and the
+    next check comes after one step, so every pivot is the clamped recurrence's."""
+    dim, n = len(cm), len(mk)
+    piv = np.empty((dim, n + 8 + n // 32))  # spare columns for the shadows
+    col_mk = np.empty(piv.shape[1])  # the m_k of each column's diagonal
+    col_mk[:n] = mk
+    np.subtract(cm[:, None], mk, out=piv[:, :n])
+    shadow = np.arange(n)
+    active = n
+    b2s = [0.0, *off2.tolist()]
+    prev = np.ones(n)
+    s, span = 0, _CLAMP_CHECK_STEPS
+    # an unclamped zero pivot divides by zero; its step and every later one are redone
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while s < dim:
+            end = min(s + span, dim)
+            for t in range(s, end):
+                row = piv[t, :active]
+                row -= b2s[t] / prev
+                prev = row
+            hits = np.flatnonzero(np.abs(piv[s:end, :active]) < pivmin)
+            if not hits.size:
+                s, span = end, min(2 * span, _CLAMP_CHECK_STEPS)
+                continue
+            # clamp the first step with a hit, spawn its shadows, and run again after it;
+            # hits are few, so they are handled one by one
+            width = active
+            first = int(hits[0]) // width
+            t = s + first
+            row = piv[t]
+            for h in hits.tolist():
+                c = h - first * width
+                if c >= width:
+                    break
+                row[c] = -pivmin if c < n else pivmin
+                if c < n and wants[c] and shadow[c] == c:
+                    if active == piv.shape[1]:  # twice the spare columns
+                        piv = np.concatenate((piv, np.empty((dim, active - n))), axis=1)
+                        col_mk = np.concatenate((col_mk, np.empty(active - n)))
+                        row = piv[t]
+                    # pivots up to t, diagonals after it (the rows run since are reset below)
+                    piv[:, active] = piv[:, c]
+                    row[active] = pivmin
+                    col_mk[active] = col_mk[c]
+                    shadow[c] = active
+                    active += 1
+            np.subtract(cm[t + 1:end, None], col_mk[:active], out=piv[t + 1:end, :active])
+            prev = piv[t, :active]
+            s, span = t + 1, 1  # clamps come in runs where an off-diagonal underflows
+    return piv, shadow
+
+
+def _d_blocks(j: HalfInt, theta: float, ks: np.ndarray | None = None,
+              out: np.ndarray | None = None):
+    """Rows ks of little_d(j, theta) (every row when ks is None), finished in blocks.
+
+    Yields (block, rows), rows[i] being row ks[block][i], unit norm: a C-contiguous
+    array of at most ROW_BLOCK_BYTES (one row at least), out[block] when out is given.
     Row k is the eigenvector of the real symmetric tridiagonal
     T = cos(theta)*Jz + sin(theta)*Jx (the bands of _t_bands, which
-    model.apply_hamiltonian reads too) for its exact
-    eigenvalue m_k.  A twisted factorization of T - m_k*I (the step behind
-    LAPACK's MRRR; Dhillon & Parlett, Linear Algebra Appl. 387 (2004) 1-28)
-    gives it: forward and backward pivots, the twist r = argmin |gamma_r|,
-    v_r = 1 and v propagated outwards through the pivot ratios.  All
-    requested rows run together, each step of the pivot recurrence one
-    array operation across rows; a single row runs the recurrence on
-    Python floats instead, because for one row the per-step numpy calls
-    cost ~5x the arithmetic (8 ms against 1.5 ms at dim 2001, where ground
-    and dicke: need one row each).  Both give the same bits.  The pivots
-    of all rows are held at once (16 x dim x n bytes); the twist, the
-    ratio products, the sign and the norm then finish the rows into the
-    result in blocks of ROW_BLOCK_BYTES, so all of d peaks near
-    24 x dim^2 bytes.  A row's bits do not depend on its block.
+    model.apply_hamiltonian reads too) for its exact eigenvalue m_k.  A twisted
+    factorization of T - m_k*I (the step behind LAPACK's MRRR; Dhillon & Parlett,
+    Linear Algebra Appl. 387 (2004) 1-28) gives it: forward and backward pivots, the
+    twist r = argmin |gamma_r|, v_r = 1 and v propagated outwards through the pivot
+    ratios (_finish_rows).
+
+    Row k's backward pivots are row 2j-k's forward pivots, negated and reversed, up to
+    the first pivmin clamp, and a column of their own after it (_pivot_pass).  So one
+    forward pass over the rows ks and 2j - ks gives both, each step one array
+    operation across rows: for all of d that is 8 x dim^2 bytes of pivots, the one
+    array held while the rows are finished block by block.  The negated pivots enter
+    the finishing formulas as they are (f + g is f - (-g), and -b / g is b / (-g),
+    bitwise), and for all of d a block's pivots are views of the pass.  A single row
+    runs both recurrences on Python floats instead, because for one row the per-step
+    numpy calls cost ~5x the arithmetic (8 ms against 1.5 ms at dim 2001, where ground
+    and dicke: need one row each).  Both give the same bits, and a row's bits depend
+    neither on its block nor on the other rows asked for.
 
     The sign matches exp(i*theta*Jy): the last entry must have the sign of
-    d[k, -1] = sqrt(C(2j, k)) cos(theta/2)^k (-sin(theta/2))^(2j-k).  The
-    sign of the computed last entry is carried as the product of the ratio
-    signs, so it survives when that entry underflows.
+    d[k, -1] = sqrt(C(2j, k)) cos(theta/2)^k (-sin(theta/2))^(2j-k).  The sign of
+    the computed last entry is carried as the product of the ratio signs, so it
+    survives when that entry underflows.
     """
     dim = j.twice + 1
+    full = ks is None
+    ks = np.arange(dim) if full else np.asarray(ks)
     n = len(ks)
     cm, off = _t_bands(j, theta)
     # theta = 0, or so small that sin(theta)/2 underflows: T is diagonal and d = I
     if not off.any():
-        return np.eye(dim)[ks]
+        for block in _row_blocks(n, dim):
+            rows = np.empty((len(ks[block]), dim)) if out is None else out[block]
+            rows[...] = 0.0
+            rows[np.arange(len(rows)), ks[block]] = 1.0
+            yield block, rows
+        return
     mk = ks - j.twice / 2.0
     off2 = off * off
     # a zero pivot becomes -pivmin (as in LAPACK's dlar1v), so every b^2/pivot stays finite
     pivmin = np.finfo(float).tiny * max([1.0, *off2.tolist()])
     if n == 1:
         diag = (cm - mk[0]).tolist()
-        fwd = np.array(_pivots(diag, off2.tolist(), pivmin))[:, None]
-        bwd = np.array(_pivots(diag[::-1], off2[::-1].tolist(), pivmin)[::-1])[:, None]
+        fwd = np.array(_pivots(diag, off2.tolist(), pivmin))
+        back = np.array(_pivots(diag[::-1], off2[::-1].tolist(), pivmin))
+        # the backward pivots in step order, negated as the pass's mirrored columns are
+        piv, fcols, gcols = np.stack((fwd, -back), axis=1), np.array([0]), np.array([1])
+    elif full:
+        piv, shadow = _pivot_pass(cm, mk, np.ones(n, bool), off2, pivmin)
+        # row k's mirror is column n-1-k, so a block's G is a view of the pass unless a
+        # shadow (a column past n) stands in for one of them
+        fcols, gcols, mirrored = None, shadow[::-1], piv[::-1, n - 1::-1]
     else:
-        # forward pivots at step s pair with backward pivots at dim-1-s in one pass,
-        # overwriting the stacked diagonals.  m and the ladder coefficients are exactly
-        # symmetric about the middle, so cos(theta)*m at dim-1-s is -cm[s] and both share b^2
-        both = np.stack((cm, -cm), axis=1)[:, :, None] - mk
-        piv = np.ones((2, n))
-        for step, b2 in zip(both, [0.0, *off2.tolist()]):
-            ratio = b2 / piv
-            piv = step
-            piv -= ratio
-            piv[np.abs(piv) < pivmin] = -pivmin
-        fwd, bwd = both[:, 0], both[::-1, 1]
+        pass_ks = np.union1d(ks, j.twice - ks)
+        wants = np.isin(j.twice - pass_ks, ks)
+        piv, shadow = _pivot_pass(cm, pass_ks - j.twice / 2.0, wants, off2, pivmin)
+        fcols = np.searchsorted(pass_ks, ks)
+        gcols = shadow[np.searchsorted(pass_ks, j.twice - ks)]
     want = (math.copysign(1.0, -math.sin(theta / 2.0)) ** (j.twice - ks)
             * math.copysign(1.0, math.cos(theta / 2.0)) ** ks)
-    index = np.arange(dim - 1)[:, None]
-    out = np.empty((n, dim))
     for block in _row_blocks(n, dim):
-        f, g = fwd[:, block], bwd[:, block]
-        r = np.argmin(np.abs(f + g - (cm[:, None] - mk[block])), axis=0)
-        # v_i = -(b_i / D+_i) v_{i+1} left of the twist, v_i = -(b_{i-1} / D-_i) v_{i-1}
-        # right of it; ratios on the far side of each row's twist are 1 in the products
-        v = np.ones((dim, len(r)))
-        v[:-1] = np.cumprod(np.where(index < r, -off[:, None] / f[:-1], 1.0)[::-1], axis=0)[::-1]
-        right = np.where(index >= r, -off[:, None] / g[1:], 1.0)
-        v[1:] *= np.cumprod(right, axis=0)
-        rows = out[block]
-        rows[...] = v.T
-        # one dot per row, as np.linalg.norm takes it, so a row's bits do not depend on n
-        norms = np.sqrt([row @ row for row in rows])
-        rows *= (want[block] * np.prod(np.sign(right), axis=0) / norms)[:, None]
+        if fcols is None:
+            f, g = piv[:, :n][:, block], gcols[block]
+            neg = piv[::-1, g] if np.maximum.reduce(g) >= n else mirrored[:, block]
+        else:
+            f, neg = piv[:, fcols[block]], piv[::-1, gcols[block]]
+        rows = np.empty((f.shape[1], dim)) if out is None else out[block]
+        _finish_rows(f, neg, cm[:, None] - mk[block], off, want[block], rows)
+        yield block, rows
+
+
+def _finish_rows(f, neg, diag, off, want, rows) -> None:
+    """Write the eigenvectors of forward pivots f and negated backward pivots neg into rows.
+
+    Column i of f, neg and diag (the diagonal of T - m_k*I) is row i of rows.  The twist
+    is r = argmin |gamma_r|, gamma = f + g - diag = f - neg - diag; v_r = 1, and v is
+    propagated outwards through the pivot ratios, normalised and signed by want."""
+    index = np.arange(len(off))[:, None]
+    r = np.argmin(np.abs(f - neg - diag), axis=0)
+    # v_i = -(b_i / D+_i) v_{i+1} left of the twist, v_i = -(b_{i-1} / D-_i) v_{i-1}
+    # right of it (-b / D- = b / neg); ratios on the far side of the twist are 1
+    v = np.ones((len(off) + 1, len(r)))
+    v[:-1] = np.cumprod(np.where(index < r, -off[:, None] / f[:-1], 1.0)[::-1], axis=0)[::-1]
+    right = np.where(index >= r, off[:, None] / neg[1:], 1.0)
+    v[1:] *= np.cumprod(right, axis=0)
+    rows[...] = v.T
+    # one dot per row, as np.linalg.norm takes it, so a row's bits do not depend on n
+    norms = np.sqrt([row @ row for row in rows])
+    rows *= (want * np.prod(np.sign(right), axis=0) / norms)[:, None]
+
+
+def _d_rows(j: HalfInt, theta: float, ks: np.ndarray | None = None) -> np.ndarray:
+    """Rows ks of little_d(j, theta) (all of it when ks is None), assembled from _d_blocks."""
+    out = np.empty((j.twice + 1 if ks is None else len(ks), j.twice + 1))
+    for _ in _d_blocks(j, theta, ks, out):
+        pass
     return out
 
 
 def little_d(j, theta: float) -> np.ndarray:
     """Real orthogonal matrix of exp(i*theta*Jy) in the ascending-m basis."""
     j = _check_j(j)
-    return _d_rows(j, float(theta), np.arange(j.twice + 1))
+    return _d_rows(j, float(theta))
 
 
 def little_d_row(j, theta: float, k: int) -> np.ndarray:

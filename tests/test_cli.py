@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -557,6 +558,44 @@ def test_ground_with_finite_extreme_coefficients_still_runs(tmp_path):
                  "--format", "json", "--out", str(out)]) == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["m0"] == -1.0 and doc["degenerate"] is True
+
+
+@pytest.mark.parametrize("coeffs,code", [("0,-1e308,1e308", EXIT_OK),
+                                         ("0,1e308,-1e308", EXIT_CONFIG)])
+def test_ground_on_huge_finite_coefficients_warns_nothing(tmp_path, capsys, coeffs, code):
+    # the scan's float window overflows (-inf + inf in the second case); it then takes the
+    # whole grid, and the exact comparison decides, so there is nothing to warn about
+    out = tmp_path / "g.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ground", "--j", "6", f"--A={coeffs}", "--theta", "1",
+                     "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == ""
+        lines = out.read_text().splitlines()
+        assert lines[:4] == ["# m0=0.0", "# energy=0.0", "# degenerate=true",
+                             "# method=closed_form"]
+        assert len(lines) == 4 + 1 + 7
+    else:
+        assert err == "error: 'energy' is -inf (float overflow); no output written\n"
+        assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "ground", "evolve", "verify"])
+def test_help_names_each_flag_as_the_readme_does(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    flags = ["--config PATH", "--out PATH", "--threads K"]
+    if command == "verify":
+        flags += ["--max-j TWICE_J", "--draws N", "--seed N"]
+    else:
+        flags += ["--format csv|json", "--j TWICE_J", "--A a0,a1,...", "--theta THETA",
+                  "--phi PHI"]
+    for flag in flags:
+        assert f"[{flag}]" in text and f"{flag} " in text.split("options:")[1], flag
 
 
 def test_ground_and_evolve_never_load_scipy_linalg(tmp_path):

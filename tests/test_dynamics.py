@@ -407,3 +407,21 @@ def test_dicke_state_is_to_eigenbasis_of_the_unit_vector(twice_j):
             got = exactspin.dynamics._dicke_state(params, j, k).coeffs
             want = to_eigenbasis(params, j, np.eye(twice_j + 1)[k]).coeffs
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_evolve_series_peak_within_its_step_table_and_quarter_chunks():
+    # beside the step table (2000 gaps x 63 steps) and the result, a chunk holds its
+    # anchor phases, their product with c and that product's with the table, each within
+    # a quarter of SERIES_CHUNK_BYTES, and each table is exponentiated in place
+    j = HalfInt(2000)
+    p = ModelParams.quadratic(-1.1, 0.012, theta=1.1, phi=2.3, a0=0.3)
+    state = EigenbasisState(np.exp(1j * 2.3 * m_floats(j)) * little_d_row(j, -1.1, 2000))
+    times = np.linspace(0.0, 300.0, 4000)
+    tracemalloc.start()
+    try:
+        values = evolve_series(p, j, state, ("Jz", "printed", "Jy"), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 16 * 2000 * math.isqrt(times.size)
+    assert peak <= table + 3 * exactspin.dynamics.SERIES_CHUNK_BYTES // 4 + 2 * values.nbytes

@@ -22,7 +22,7 @@ from exactspin import (
     rotation_matrix,
 )
 from exactspin.cli import main
-from exactspin.rotation import _d_rows
+from exactspin.rotation import _d_rows, _t_bands
 from exactspin.su2 import _ladder_coeffs_ascending, m_floats
 from exactspin.verify import series_expm
 
@@ -397,3 +397,61 @@ def test_little_d_and_spectrum_peak_within_24_dim2_and_eight_blocks(tmp_path, co
         tracemalloc.stop()
     output = out.stat().st_size if command == "spectrum" else 0
     assert peak <= 24 * dim**2 + 8 * exactspin.rotation.ROW_BLOCK_BYTES + output
+
+
+def _clamped_rows(j, theta):
+    """Rows k whose forward pivots of T - m_k I hit the pivmin clamp, by the plain recurrence."""
+    cm, off = _t_bands(j, theta)
+    off2 = (off * off).tolist()
+    pivmin = np.finfo(float).tiny * max([1.0, *off2])
+    rows = []
+    for k, mk in enumerate((np.arange(j.twice + 1) - j.twice / 2.0).tolist()):
+        piv = 1.0
+        for a, b2 in zip(cm.tolist(), [0.0, *off2]):
+            piv = (a - mk) - b2 / piv
+            if abs(piv) < pivmin:
+                rows.append(k)
+                break
+    return rows
+
+
+@pytest.mark.parametrize("theta", [math.pi, math.pi / 2, 3 * math.pi / 2, 0.3, 1e-300,
+                                   *np.random.default_rng(21).uniform(0, 2 * math.pi, 3)])
+def test_rows_past_a_clamp_equal_the_direct_backward_pivots(theta):
+    # row k's backward pivots mirror row 2j-k's forward pivots only up to that row's first
+    # clamp; little_d_row runs them directly on Python floats, so every row must agree
+    fired = 0
+    for twice_j in range(1, 61):
+        j = HalfInt(twice_j)
+        clamped = _clamped_rows(j, theta)
+        if not clamped:
+            continue
+        fired += 1
+        d = little_d(j, theta)
+        for k in range(twice_j + 1):
+            assert np.array_equal(little_d_row(j, theta, k), d[k]), (twice_j, theta, k)
+        # the clamped rows alone: some of their mirrors are not asked for
+        assert np.array_equal(_d_rows(j, theta, np.array(clamped)), d[clamped]), twice_j
+    assert fired >= 6
+
+
+@pytest.mark.parametrize("command", ["little_d", "spectrum"])
+def test_little_d_holds_16_dim2_and_spectrum_8_dim2(tmp_path, command):
+    # one forward pass holds 8 dim^2 bytes of pivots; little_d adds d itself, while
+    # spectrum certifies each block of rows as it is finished and holds no d
+    twice_j = 1000
+    dim = twice_j + 1
+    out = tmp_path / "spectrum.csv"
+    argv = ["spectrum", f"--j={twice_j}", "--A=0.1,1,0.01", "--theta=1.5", "--out", str(out)]
+    main(["spectrum", "--j=4", "--A=0,1", "--theta=1.5", "--out", str(out)])  # warm-up
+    tracemalloc.start()
+    try:
+        little_d(HalfInt(twice_j), 1.5) if command == "little_d" else main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = 12 * exactspin.rotation.ROW_BLOCK_BYTES
+    if command == "little_d":
+        assert peak <= 16 * dim**2 + blocks
+    else:
+        assert peak <= 8 * dim**2 + blocks + out.stat().st_size
