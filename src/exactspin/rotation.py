@@ -39,8 +39,6 @@ TWO_PI = 2.0 * math.pi
 # rows of d are finished (and spectrum certifies them) this many bytes at a time, so
 # the dozen temporaries of a block stay in cache instead of each being dim x dim
 ROW_BLOCK_BYTES = 1 << 18
-# the pivot pass looks for pivots below pivmin once per this many steps at most
-_CLAMP_CHECK_STEPS = 16
 
 
 def _row_blocks(n: int, dim: int) -> list[slice]:
@@ -85,70 +83,42 @@ def _pivots(diag: list, off2: list, pivmin: float) -> list:
     return out
 
 
-def _pivot_pass(cm: np.ndarray, mk: np.ndarray, wants: np.ndarray, off2: np.ndarray,
-                pivmin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Forward pivots of T - mk[c]*I for every column c, and the backward pivots they mirror.
+def _pivot_pass(cm: np.ndarray, mk: np.ndarray, off2: np.ndarray, pivmin: float):
+    """Forward pivots of T - mk[c]*I for every column c, and where the mirrored ones differ.
 
-    Returns (piv, shadow), piv of shape (dim, >= n): piv[:, c] are column c's forward
-    pivots, step s in row s.  m and the ladder coefficients are exactly symmetric about
-    the middle, so the backward pivots of the mirror row (m = -mk[c]) are these negated
-    and reversed: negation commutes with every rounded step.  The pivmin clamp does not,
-    as it gives -pivmin on both sides.  So once column c clamps, first at step s, the
-    mirror's negated backward pivots g = d - b^2 / g_prev run on as their own column
-    shadow[c] of the same pass: column c's pivots before s, +pivmin at s and wherever
-    they clamp later.  Only columns with wants[c] get one; shadow[c] = c for the rest.
-
-    The steps run unchecked, up to _CLAMP_CHECK_STEPS at a time.  The first step of a
-    run with a pivot below pivmin is clamped, the steps after it are run again, and the
-    next check comes after one step, so every pivot is the clamped recurrence's."""
-    dim, n = len(cm), len(mk)
-    piv = np.empty((dim, n + 8 + n // 32))  # spare columns for the shadows
-    col_mk = np.empty(piv.shape[1])  # the m_k of each column's diagonal
-    col_mk[:n] = mk
-    np.subtract(cm[:, None], mk, out=piv[:, :n])
-    shadow = np.arange(n)
-    active = n
-    b2s = [0.0, *off2.tolist()]
+    Returns (piv, apart), piv of shape (dim, n): piv[:, c] are column c's forward pivots,
+    step s in row s.  m and the ladder coefficients are exactly symmetric about the
+    middle, so the backward pivots of the mirror row (m = -mk[c]) are these negated and
+    reversed: negation commutes with every rounded step.  The pivmin clamp does not, as
+    it gives -pivmin on both sides.  So from a clamp in column c on, the mirror's negated
+    backward pivots g = d - b^2 / g_prev (+pivmin where they clamp) run beside the pass
+    until they equal column c's again, bit for bit; apart[c] lists (step, g) where they
+    differ.  Such a stretch ends within a few steps once b^2 / g falls below an ulp of
+    d, so the pass holds 8 x dim x n bytes and little more, even where every column
+    clamps (theta below ~1e-154)."""
+    n = len(mk)
+    piv = np.subtract.outer(cm, mk)
     prev = np.ones(n)
-    s, span = 0, _CLAMP_CHECK_STEPS
-    # an unclamped zero pivot divides by zero; its step and every later one are redone
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while s < dim:
-            end = min(s + span, dim)
-            for t in range(s, end):
-                row = piv[t, :active]
-                row -= b2s[t] / prev
-                prev = row
-            hits = np.flatnonzero(np.abs(piv[s:end, :active]) < pivmin)
-            if not hits.size:
-                s, span = end, min(2 * span, _CLAMP_CHECK_STEPS)
-                continue
-            # clamp the first step with a hit, spawn its shadows, and run again after it;
-            # hits are few, so they are handled one by one
-            width = active
-            first = int(hits[0]) // width
-            t = s + first
-            row = piv[t]
-            for h in hits.tolist():
-                c = h - first * width
-                if c >= width:
-                    break
-                row[c] = -pivmin if c < n else pivmin
-                if c < n and wants[c] and shadow[c] == c:
-                    if active == piv.shape[1]:  # twice the spare columns
-                        piv = np.concatenate((piv, np.empty((dim, active - n))), axis=1)
-                        col_mk = np.concatenate((col_mk, np.empty(active - n)))
-                        row = piv[t]
-                    # pivots up to t, diagonals after it (the rows run since are reset below)
-                    piv[:, active] = piv[:, c]
-                    row[active] = pivmin
-                    col_mk[active] = col_mk[c]
-                    shadow[c] = active
-                    active += 1
-            np.subtract(cm[t + 1:end, None], col_mk[:active], out=piv[t + 1:end, :active])
-            prev = piv[t, :active]
-            s, span = t + 1, 1  # clamps come in runs where an off-diagonal underflows
-    return piv, shadow
+    cols, g = np.empty(0, int), np.empty(0)  # columns whose mirror differs, and its pivots
+    apart = {}
+    for t, b2 in enumerate([0.0, *off2.tolist()]):
+        row = piv[t]
+        row -= b2 / prev
+        prev = row
+        if cols.size:
+            g = (cm[t] - mk[cols]) - b2 / g
+            g[np.abs(g) < pivmin] = pivmin
+        if np.minimum.reduce(np.abs(row)) < pivmin:
+            hits = np.flatnonzero(np.abs(row) < pivmin)
+            row[hits] = -pivmin
+            fresh = np.array(sorted(set(hits.tolist()).difference(cols.tolist())), int)
+            cols, g = np.concatenate((cols, fresh)), np.concatenate((g, np.full(fresh.size, pivmin)))
+        if cols.size:
+            differs = g != row[cols]
+            cols, g = cols[differs], g[differs]
+            for c, v in zip(cols.tolist(), g.tolist()):
+                apart.setdefault(c, []).append((t, v))
+    return piv, apart
 
 
 def _d_blocks(j: HalfInt, theta: float, ks: np.ndarray | None = None,
@@ -165,17 +135,17 @@ def _d_blocks(j: HalfInt, theta: float, ks: np.ndarray | None = None,
     twist r = argmin |gamma_r|, v_r = 1 and v propagated outwards through the pivot
     ratios (_finish_rows).
 
-    Row k's backward pivots are row 2j-k's forward pivots, negated and reversed, up to
-    the first pivmin clamp, and a column of their own after it (_pivot_pass).  So one
-    forward pass over the rows ks and 2j - ks gives both, each step one array
-    operation across rows: for all of d that is 8 x dim^2 bytes of pivots, the one
-    array held while the rows are finished block by block.  The negated pivots enter
-    the finishing formulas as they are (f + g is f - (-g), and -b / g is b / (-g),
-    bitwise), and for all of d a block's pivots are views of the pass.  A single row
-    runs both recurrences on Python floats instead, because for one row the per-step
-    numpy calls cost ~5x the arithmetic (8 ms against 1.5 ms at dim 2001, where ground
-    and dicke: need one row each).  Both give the same bits, and a row's bits depend
-    neither on its block nor on the other rows asked for.
+    Row k's backward pivots are row 2j-k's forward pivots, negated and reversed, except
+    for the short stretches after a pivmin clamp that _pivot_pass keeps apart.  So one
+    forward pass over the rows ks and 2j - ks gives both, each step one array operation
+    across rows: for all of d that is 8 x dim^2 bytes of pivots, the one array held
+    while the rows are finished block by block, each block's two pivot sets gathered
+    from it.  The negated pivots enter the finishing formulas as they are (f + g is
+    f - (-g), and -b / g is b / (-g), bitwise).  A single row runs both recurrences on
+    Python floats instead, because for one row the per-step numpy calls cost ~5x the
+    arithmetic (8 ms against 1.5 ms at dim 2001, where ground and dicke: need one row
+    each).  Both give the same bits, and a row's bits depend neither on its block nor
+    on the other rows asked for.
 
     The sign matches exp(i*theta*Jy): the last entry must have the sign of
     d[k, -1] = sqrt(C(2j, k)) cos(theta/2)^k (-sin(theta/2))^(2j-k).  The sign of
@@ -183,8 +153,7 @@ def _d_blocks(j: HalfInt, theta: float, ks: np.ndarray | None = None,
     survives when that entry underflows.
     """
     dim = j.twice + 1
-    full = ks is None
-    ks = np.arange(dim) if full else np.asarray(ks)
+    ks = np.arange(dim) if ks is None else np.asarray(ks)
     n = len(ks)
     cm, off = _t_bands(j, theta)
     # theta = 0, or so small that sin(theta)/2 underflows: T is diagonal and d = I
@@ -205,25 +174,19 @@ def _d_blocks(j: HalfInt, theta: float, ks: np.ndarray | None = None,
         back = np.array(_pivots(diag[::-1], off2[::-1].tolist(), pivmin))
         # the backward pivots in step order, negated as the pass's mirrored columns are
         piv, fcols, gcols = np.stack((fwd, -back), axis=1), np.array([0]), np.array([1])
-    elif full:
-        piv, shadow = _pivot_pass(cm, mk, np.ones(n, bool), off2, pivmin)
-        # row k's mirror is column n-1-k, so a block's G is a view of the pass unless a
-        # shadow (a column past n) stands in for one of them
-        fcols, gcols, mirrored = None, shadow[::-1], piv[::-1, n - 1::-1]
+        apart = {}
     else:
         pass_ks = np.union1d(ks, j.twice - ks)
-        wants = np.isin(j.twice - pass_ks, ks)
-        piv, shadow = _pivot_pass(cm, pass_ks - j.twice / 2.0, wants, off2, pivmin)
+        piv, apart = _pivot_pass(cm, pass_ks - j.twice / 2.0, off2, pivmin)
         fcols = np.searchsorted(pass_ks, ks)
-        gcols = shadow[np.searchsorted(pass_ks, j.twice - ks)]
+        gcols = len(pass_ks) - 1 - fcols  # pass_ks is symmetric about j
     want = (math.copysign(1.0, -math.sin(theta / 2.0)) ** (j.twice - ks)
             * math.copysign(1.0, math.cos(theta / 2.0)) ** ks)
     for block in _row_blocks(n, dim):
-        if fcols is None:
-            f, g = piv[:, :n][:, block], gcols[block]
-            neg = piv[::-1, g] if np.maximum.reduce(g) >= n else mirrored[:, block]
-        else:
-            f, neg = piv[:, fcols[block]], piv[::-1, gcols[block]]
+        f, neg = piv[:, fcols[block]], piv[::-1, gcols[block]]
+        for i, c in enumerate(gcols[block].tolist()):  # where a mirror left its column
+            for t, v in apart.get(c, ()):
+                neg[dim - 1 - t, i] = v
         rows = np.empty((f.shape[1], dim)) if out is None else out[block]
         _finish_rows(f, neg, cm[:, None] - mk[block], off, want[block], rows)
         yield block, rows

@@ -435,18 +435,20 @@ def test_rows_past_a_clamp_equal_the_direct_backward_pivots(theta):
     assert fired >= 6
 
 
+@pytest.mark.parametrize("theta", [1.5, 1e-200])
 @pytest.mark.parametrize("command", ["little_d", "spectrum"])
-def test_little_d_holds_16_dim2_and_spectrum_8_dim2(tmp_path, command):
+def test_little_d_holds_16_dim2_and_spectrum_8_dim2(tmp_path, command, theta):
     # one forward pass holds 8 dim^2 bytes of pivots; little_d adds d itself, while
-    # spectrum certifies each block of rows as it is finished and holds no d
+    # spectrum certifies each block of rows as it is finished and holds no d.  At
+    # theta 1e-200 every b^2 underflows and every row's pivots clamp once
     twice_j = 1000
     dim = twice_j + 1
     out = tmp_path / "spectrum.csv"
-    argv = ["spectrum", f"--j={twice_j}", "--A=0.1,1,0.01", "--theta=1.5", "--out", str(out)]
+    argv = ["spectrum", f"--j={twice_j}", "--A=0.1,1,0.01", f"--theta={theta}", "--out", str(out)]
     main(["spectrum", "--j=4", "--A=0,1", "--theta=1.5", "--out", str(out)])  # warm-up
     tracemalloc.start()
     try:
-        little_d(HalfInt(twice_j), 1.5) if command == "little_d" else main(argv)
+        little_d(HalfInt(twice_j), theta) if command == "little_d" else main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
