@@ -101,8 +101,7 @@ def _pivot_pass(cm: np.ndarray, mk: np.ndarray, off2: np.ndarray, pivmin: float)
     prev = np.ones(n)
     cols, g = np.empty(0, int), np.empty(0)  # columns whose mirror differs, and its pivots
     apart = {}
-    for t, b2 in enumerate([0.0, *off2.tolist()]):
-        row = piv[t]
+    for t, (row, b2) in enumerate(zip(piv, [0.0, *off2.tolist()])):
         row -= b2 / prev
         prev = row
         if cols.size:
@@ -176,7 +175,9 @@ def _d_blocks(j: HalfInt, theta: float, ks: np.ndarray | None = None,
         piv, fcols, gcols = np.stack((fwd, -back), axis=1), np.array([0]), np.array([1])
         apart = {}
     else:
-        pass_ks = np.union1d(ks, j.twice - ks)
+        chosen = np.zeros(dim, bool)
+        chosen[ks] = True
+        pass_ks = np.flatnonzero(chosen | chosen[::-1])  # ks and 2j - ks, sorted
         piv, apart = _pivot_pass(cm, pass_ks - j.twice / 2.0, off2, pivmin)
         fcols = np.searchsorted(pass_ks, ks)
         gcols = len(pass_ks) - 1 - fcols  # pass_ks is symmetric about j
