@@ -52,8 +52,6 @@ def _tridiagonalize(stack: np.ndarray, power=0) -> tuple[np.ndarray, np.ndarray,
     b, n, _ = stack.shape
     a = np.array(stack, dtype=complex, order="C")
     np.ldexp(a.view(float), np.reshape(power, (-1, 1, 1)), out=a.view(float))
-    # the reflector of each step: u for k at reflectors[:, k, k + 1:]
-    reflectors = np.zeros((b, n, n), dtype=complex)
     # [u | w] and [w̄ | ū]ᵀ of each step, for the rank-2 update as one product
     uw = np.empty((b, n, 2), dtype=complex)
     wu = np.empty((b, 2, n), dtype=complex)
@@ -63,6 +61,7 @@ def _tridiagonalize(stack: np.ndarray, power=0) -> tuple[np.ndarray, np.ndarray,
         sq = x.real ** 2 + x.imag ** 2
         reflect = np.add.reduce(sq[:, 1:], axis=1) > 0.0
         if not reflect.any():
+            a[:, k, k + 1:] = 0.0  # u = 0: H_k = I
             continue
         norm = np.sqrt(np.add.reduce(sq, axis=1))
         x0 = x[:, 0]
@@ -83,13 +82,14 @@ def _tridiagonalize(stack: np.ndarray, power=0) -> tuple[np.ndarray, np.ndarray,
         np.subtract(su, (0.5 * np.add.reduce(u_bar * su, axis=1))[:, None] * u, out=w)
         np.conjugate(w, out=wu[:, 0, :m])
         s -= uw[:, :m] @ wu[:, :, :m]
-        reflectors[:, k, k + 1:] = u
+        # row k past the diagonal is read by no later step: it keeps u for Q
+        a[:, k, k + 1:] = u
     # Q = H_0·H_1···, built from the last reflector back: H_k only touches the
     # block of rows and columns after k, where the product of the later ones lives
     q = np.zeros((b, n, n), dtype=complex)
     q[:, np.arange(n), np.arange(n)] = 1.0
     for k in range(n - 3, -1, -1):
-        u = reflectors[:, k, k + 1:]
+        u = a[:, k, k + 1:]
         block = q[:, k + 1:, k + 1:]
         block -= u[:, :, None] * (u.conj()[:, None, :] @ block)
     e = a[:, np.arange(1, n), np.arange(n - 1)]
@@ -103,7 +103,8 @@ def _tridiagonalize(stack: np.ndarray, power=0) -> tuple[np.ndarray, np.ndarray,
     for k in range(n - 1):
         chained = d[:, k] * unit[:, k]
         d[:, k + 1] = np.where(linked[:, k], chained / np.abs(chained), 1.0)
-    return a[:, np.arange(n), np.arange(n)].real, off, q * d[:, None, :]
+    q *= d[:, None, :]
+    return a[:, np.arange(n), np.arange(n)].real, off, q
 
 
 def _tree(n: int) -> list[list[tuple[int, int]]]:
@@ -247,6 +248,8 @@ def _secular(d, z, rho, live, member=None):
     # per root: d_k - d_origin (inf where not live), and the weights at k <= p and at k >= q
     below = np.where(cols <= p[:, None], weight, 0.0)
     rows = np.stack((poles - poles[roots, o][:, None], below, weight - below), axis=1)
+    # the steps read only rows: free the (roots, n) tables it was built from
+    del poles, weight, below, near
     found = np.empty(item.size)
     # a degenerate model divides by zero; its inf or nan fails the bracket test
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -262,7 +265,7 @@ def _secular(d, z, rho, live, member=None):
             inv = 1.0 / (rows[:, 0] - delta_r[:, None])
             terms = rows[:, 1:] * inv[:, None, :]
             f = 1.0 + np.add.reduce(terms, axis=(1, 2))
-            slope = np.add.reduce(terms * inv[:, None, :], axis=2)
+            slope = np.add.reduce(np.multiply(terms, inv[:, None, :], out=terms), axis=2)
             # f ascends: below its root f < 0
             np.copyto(lo, delta_r, where=f < 0.0)
             np.copyto(hi, delta_r, where=f > 0.0)

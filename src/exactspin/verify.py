@@ -20,10 +20,16 @@ Two kinds of output:
 
 Observations (the rotated-observable phase-shift lag, the two-mode
 matrix deviation) are recorded without any pass/fail judgement.
+
+Every random draw (the oracle's models and sizes, the ground-rule models,
+the sweeps' fixed state) comes from the stdlib's random.Random(seed), which
+numpy's own import has already loaded; numpy's generator module, and the
+secrets, hmac and OpenSSL modules its import pulls in, are never loaded.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -122,17 +128,17 @@ def series_expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _random_params(rng: np.random.Generator) -> ModelParams:
-    order = int(rng.integers(1, 5))
-    coeffs = tuple(rng.uniform(-2.0, 2.0, size=order + 1))
-    theta = float(rng.uniform(1e-3, np.pi - 1e-3))
-    phi = float(rng.uniform(0.0, 2.0 * np.pi))
+def _random_params(rng: random.Random) -> ModelParams:
+    order = rng.randint(1, 4)
+    coeffs = tuple(rng.uniform(-2.0, 2.0) for _ in range(order + 1))
+    theta = rng.uniform(1e-3, np.pi - 1e-3)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
     return ModelParams(order=order, coeffs=coeffs, angles=RotationAngles(theta, phi))
 
 
 def run_required_checks(max_twice_j: int = 24, draws: int = 40,
                         seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     checks: list[CheckResult] = []
 
     def add(name, measured, limit, detail=""):
@@ -193,7 +199,7 @@ def run_required_checks(max_twice_j: int = 24, draws: int = 40,
     drawn = []
     for _ in range(draws):
         params = _random_params(rng)
-        drawn.append((params, HalfInt(int(rng.integers(1, oracle_twice_j + 1)))))
+        drawn.append((params, HalfInt(rng.randint(1, oracle_twice_j))))
     dim = max((j.twice + 1 for _, j in drawn), default=1)
     stack = np.zeros((draws, dim, dim), dtype=complex)
     for h, (params, j) in zip(stack, drawn):
@@ -223,10 +229,10 @@ def run_required_checks(max_twice_j: int = 24, draws: int = 40,
 
     # ground-state rule vs scan (ground_state raises internally on mismatch)
     for _ in range(draws):
-        a2 = float(rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 2.0))
-        a1 = float(rng.uniform(-2.0, 2.0))
-        twice_j = int(rng.integers(1, 60))
-        params = ModelParams.quadratic(a1, a2, theta=float(rng.uniform(0.1, 3.0)))
+        a2 = rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 2.0)
+        a1 = rng.uniform(-2.0, 2.0)
+        twice_j = rng.randint(1, 59)
+        params = ModelParams.quadratic(a1, a2, theta=rng.uniform(0.1, 3.0))
         ground_state(params, HalfInt(twice_j))
     add("ground_rule_vs_scan", 0.0, 0.5, f"{draws} quadratic draws, closed form == scan")
 
@@ -296,8 +302,8 @@ def run_diagnostic_sweeps(twice_j: int = 12, seed: int = 0) -> list[DiagnosticSw
         lhs, rhs = rate_relation(ModelParams.quadratic(1.0, 0.01, theta, phi))
         return lhs / rhs
 
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=twice_j + 1)
+    rng = random.Random(seed)
+    c = np.array([rng.gauss(0.0, 1.0) for _ in range(twice_j + 1)])
     c /= np.linalg.norm(c)
     fixed_state = EigenbasisState(c.astype(complex))
     times = np.linspace(0.0, 40.0, 400)

@@ -83,3 +83,20 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "['observables']",               # ground
         "['dynamics', 'observables']",   # evolve
     ]
+
+
+def test_verify_loads_neither_numpy_random_nor_openssl(tmp_path):
+    # verify draws from the stdlib generator, so a cold run never imports numpy.random,
+    # whose import pulls in secrets, hmac and OpenSSL's _hashlib
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactspin.__file__)))
+    out = str(tmp_path / "verify.json")
+    code = ("import sys, exactspin.cli\n"
+            f"assert exactspin.cli.main(['verify', '--out', {out!r}]) == 0\n"
+            "print([m for m in ('numpy.random', 'secrets', 'hmac', '_hashlib')\n"
+            "       if m in sys.modules])\n")
+    result = subprocess.run([sys.executable, "-c", code], cwd=root,
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

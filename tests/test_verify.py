@@ -1,5 +1,7 @@
 """Tests for the verification report machinery."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -109,17 +111,17 @@ def test_spectrum_vs_oracle_draws_follow_the_seeded_stream(monkeypatch):
                         lambda h: oracle_calls.append(h.shape) or original_oracle(h))
     run_required_checks(max_twice_j=16, draws=10, seed=1)
 
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     expected = []
     for _ in range(10):
         params = _random_params(rng)
-        expected.append((params, HalfInt(int(rng.integers(1, 17)))))
+        expected.append((params, HalfInt(rng.randint(1, 16))))
     expected_grounds = []
     for _ in range(10):
-        a2 = float(rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 2.0))
-        a1 = float(rng.uniform(-2.0, 2.0))
-        twice_j = int(rng.integers(1, 60))
-        params = ModelParams.quadratic(a1, a2, theta=float(rng.uniform(0.1, 3.0)))
+        a2 = rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 2.0)
+        a1 = rng.uniform(-2.0, 2.0)
+        twice_j = rng.randint(1, 59)
+        params = ModelParams.quadratic(a1, a2, theta=rng.uniform(0.1, 3.0))
         expected_grounds.append((params, HalfInt(twice_j)))
     assert built == expected
     assert grounds == expected_grounds
