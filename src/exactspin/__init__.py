@@ -11,7 +11,35 @@ and closed_form.  The names of the oracle (spectrum), the printed
 two-mode builders (two_mode), dynamics, observables and the verification
 suite (verify) are resolved through _LAZY, which imports their module on
 first use, so a command pays only for the modules it runs.
+
+BLAS runs on one thread.  When numpy is not yet imported and the caller
+has set none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS,
+the package imports numpy with OPENBLAS_NUM_THREADS=1 and unsets it again:
+OpenBLAS reads it once, when numpy loads it, so os.environ and child
+processes keep the caller's environment.  A caller who sets one of the
+three variables, or imports numpy first, keeps their own BLAS setup.  The
+closed form's work is banded and small, so a second thread only spins idle
+at start-up; above 10,000 elements OpenBLAS would also split a dot product
+or a norm across threads, and the last bits would depend on the core count.
 """
+
+
+def _import_numpy_on_one_blas_thread():
+    import os
+    import sys
+
+    if "numpy" in sys.modules or any(
+            v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_on_one_blas_thread()
+del _import_numpy_on_one_blas_thread
 
 from . import closed_form, model, rotation, su2
 from .su2 import *

@@ -367,7 +367,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="output.path", metavar="PATH", help="output path")
         p.add_argument("--threads", type=int, default=1, metavar="K",
                        help="accepted for compatibility; computation is "
-                            "deterministic and single-process")
+                            "deterministic, single-process and single-threaded")
         if name == "verify":
             p.add_argument("--max-j", dest="verify.max_twice_j", metavar="TWICE_J",
                            help="cap the oracle comparisons at this doubled spin")

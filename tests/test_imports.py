@@ -1,4 +1,4 @@
-"""The package's public names, and which modules each entry point loads."""
+"""The package's public names, which modules each entry point loads, and its BLAS threads."""
 
 import importlib
 import os
@@ -100,3 +100,48 @@ def test_verify_loads_neither_numpy_random_nor_openssl(tmp_path):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh(code: str, **env: str) -> str:
+    """Stdout of code in a fresh interpreter, with no BLAS thread variable set but env's."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactspin.__file__)))
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    result = subprocess.run([sys.executable, "-c", code], env=dict(base, PYTHONPATH=src, **env),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("first, env", [
+    ("", {}),
+    ("", {"OPENBLAS_NUM_THREADS": "2"}),
+    ("", {"OMP_NUM_THREADS": "2"}),
+    ("import numpy\n", {}),
+], ids=["default", "openblas_2", "omp_2", "numpy_first"])
+def test_import_runs_blas_on_one_thread_unless_the_caller_chose(first, env):
+    # OpenBLAS starts its workers when numpy loads it; each is one more task of the process
+    code = (first + "import os, exactspin\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+            f"print([os.environ.get(v) for v in {THREAD_VARS!r}])\n")
+    tasks, values = _fresh(code, **env).splitlines()
+    assert values == repr([env.get(v) for v in THREAD_VARS])
+    if not first and not env:
+        assert int(tasks) == 1
+    elif len(os.sched_getaffinity(0)) >= 2:
+        assert int(tasks) >= 2
+
+
+def test_large_n_bits_do_not_depend_on_the_core_count():
+    # above 10,000 elements OpenBLAS splits a dot product or a norm across its threads
+    code = ("import hashlib, exactspin\n"
+            "import numpy as np\n"
+            "rows = exactspin.rotation._d_rows(exactspin.HalfInt(20000), 1.1, np.array([5000, 12345]))\n"
+            "print(hashlib.sha256(rows.tobytes()).hexdigest())\n"
+            "params = exactspin.ModelParams(2, (0.1, 1.0, 0.001), exactspin.RotationAngles(1.1, 0.3))\n"
+            "j = exactspin.HalfInt(100000)\n"
+            "print(exactspin.residual_norm(params, j, exactspin.ground_state(params, j).pair).hex())\n")
+    assert _fresh(code) == _fresh(code, OPENBLAS_NUM_THREADS="1")
