@@ -102,11 +102,19 @@ def _dicke_state(params: ModelParams, j, k: int) -> EigenbasisState:
     return EigenbasisState(coeffs)
 
 
-def state_at(params: ModelParams, j, state: EigenbasisState, t: float) -> np.ndarray:
-    """Lab-basis state at time t: U† (C * exp(-i E t))."""
+def state_at(params: ModelParams, j, state: EigenbasisState, t) -> np.ndarray:
+    """Lab-basis state at time t: U† (C * exp(-i E t)).
+
+    t is one time, giving the state (dim,), or a 1-d array of times, giving
+    the states as the columns of a (dim, len(t)) array from one d.
+    """
     j = _check_j(j)
-    phases = np.exp(-1j * energy_values(params, j) * float(t))
-    return apply_rotation(j, params.angles, state.coeffs * phases, dagger=True)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a time or a 1-d array of times, got shape {times.shape}")
+    phases = np.exp(-1j * np.multiply.outer(energy_values(params, j), times))
+    coeffs = state.coeffs.reshape((-1,) + (1,) * times.ndim)
+    return apply_rotation(j, params.angles, coeffs * phases, dagger=True)
 
 
 def _rotated_bands(j, angles: RotationAngles, obs: str) -> tuple[np.ndarray, np.ndarray]:

@@ -245,12 +245,16 @@ def rotation_matrix(j, angles: RotationAngles) -> np.ndarray:
 
 
 def apply_rotation(j, angles: RotationAngles, vec: np.ndarray, dagger: bool = False) -> np.ndarray:
-    """Apply U = e^{i*phi*m} d, or U† = d^T e^{-i*phi*m} with dagger=True, to a state vector."""
+    """Apply U = e^{i*phi*m} d, or U† = d^T e^{-i*phi*m} with dagger=True, to a state vector.
+
+    vec (dim,) is one state; vec (dim, k) holds k states as columns, all rotated by one d.
+    """
     j = _check_j(j)
     vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (j.twice + 1,):
-        raise ValueError(f"state has shape {vec.shape}, expected ({j.twice + 1},)")
-    zphase = np.exp(1j * angles.phi * m_floats(j))
+    if vec.ndim not in (1, 2) or vec.shape[0] != j.twice + 1:
+        raise ValueError(f"state has shape {vec.shape}, expected ({j.twice + 1},) "
+                         f"or ({j.twice + 1}, k)")
+    zphase = np.exp(1j * angles.phi * m_floats(j)).reshape((-1,) + (1,) * (vec.ndim - 1))
     d = little_d(j, angles.theta)
     if dagger:
         d, vec = d.T, zphase.conj() * vec

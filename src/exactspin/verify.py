@@ -243,8 +243,7 @@ def run_required_checks(max_twice_j: int = 24, draws: int = 40,
     norm_drift = abs(float(np.sum(np.abs(state.coeffs) ** 2)) - 1.0)
     e0 = None
     worst = 0.0
-    for t in (0.0, 3.7, 55.0, 200.0):
-        psi_t = state_at(params, j, state, t)
+    for psi_t in state_at(params, j, state, np.array([0.0, 3.7, 55.0, 200.0])).T:
         worst = max(worst, abs(np.linalg.norm(psi_t) - 1.0))
         e_t = float(np.real(np.vdot(psi_t, apply_hamiltonian(params, j, psi_t))))
         if e0 is None:

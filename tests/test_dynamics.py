@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import exactspin.dynamics
+import exactspin.rotation
 from exactspin import (
     EigenbasisState,
     HalfInt,
     ModelParams,
     RotationAngles,
     apply_hamiltonian,
+    apply_rotation,
     energy_values,
     envelope_metric,
     evolve_observable,
@@ -154,6 +156,34 @@ def test_norm_and_energy_conservation():
         if e_ref is None:
             e_ref = e_t
         assert abs(e_t - e_ref) <= 1e-9 * (1.0 + abs(e_ref))
+
+
+def test_state_at_takes_an_array_of_times_and_builds_d_once(monkeypatch):
+    p = ModelParams.quadratic(1.0, 0.01, theta=1.5, phi=0.4)
+    j = HalfInt(40)
+    state = to_eigenbasis(p, j, dicke_state(40, 40))
+    times = np.array([0.0, 3.7, 55.0, 200.0])
+    # a scalar time keeps its shape and its bits: U† applied to C·exp(-iEt)
+    for t in times:
+        psi_t = state_at(p, j, state, t)
+        phases = np.exp(-1j * energy_values(p, j) * t)
+        expected = apply_rotation(j, p.angles, state.coeffs * phases, dagger=True)
+        assert psi_t.shape == (41,) and np.array_equal(psi_t, expected)
+    calls = []
+    little_d = exactspin.rotation.little_d
+
+    def counting(*args):
+        calls.append(args)
+        return little_d(*args)
+
+    monkeypatch.setattr(exactspin.rotation, "little_d", counting)
+    psi = state_at(p, j, state, times)
+    monkeypatch.undo()
+    assert len(calls) == 1 and psi.shape == (41, 4)
+    for column, t in zip(psi.T, times):
+        np.testing.assert_allclose(column, state_at(p, j, state, t), rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="1-d array of times"):
+        state_at(p, j, state, np.zeros((2, 2)))
 
 
 def test_rotated_observable_hermitian_and_expectations_real():

@@ -23,6 +23,8 @@ from exactspin import (
     two_mode_coefficients,
 )
 from exactspin.spectrum import (
+    _PANEL,
+    _WIDE,
     ORACLE_MAX_DIM,
     _merge,
     _tree,
@@ -56,6 +58,42 @@ def test_tridiagonalize_gives_a_real_tridiagonal_similar_to_the_input(n):
     t = np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0], -1)
     np.testing.assert_allclose(qd[0].conj().T @ h @ qd[0], t, atol=1e-12 * np.max(np.abs(h)))
     assert np.max(np.abs(qd[0].conj().T @ qd[0] - np.eye(n))) < 1e-13
+
+
+# sizes around the panels: n - 2 reflectors against Q's panel of _PANEL // 2 (up to
+# _WIDE rows) and the reduction's _PANEL and Q's 2·_PANEL (above it)
+_SMALL_PANEL, _BIG_PANEL = _PANEL // 2, 2 * _PANEL
+PANEL_SIZES = sorted({1, 2, 3}
+                     | {r + 2 for r in (_SMALL_PANEL - 1, _SMALL_PANEL, _SMALL_PANEL + 1,
+                                        2 * _SMALL_PANEL + 1)}
+                     | {r + 2 for r in (_BIG_PANEL - 1, _BIG_PANEL, _BIG_PANEL + 1,
+                                        2 * _BIG_PANEL - 1, 2 * _BIG_PANEL, 2 * _BIG_PANEL + 1,
+                                        5 * _PANEL, 5 * _PANEL + 1)
+                        if r + 2 > _WIDE})
+
+
+@pytest.mark.parametrize("n", PANEL_SIZES)
+def test_tridiagonalize_around_the_panel_widths(n):
+    rng = np.random.default_rng(600 + n)
+    stack = np.stack([_random_hermitian(rng, n), _random_hermitian(rng, n, "real", 1e3),
+                      _random_hermitian(rng, n, "complex", 1e-3)])
+    diag, off, qd = _tridiagonalize(stack)
+    assert np.all(off >= 0.0)
+    for i, h in enumerate(stack):
+        scale = np.max(np.abs(h))
+        assert np.max(np.abs(qd[i].conj().T @ qd[i] - np.eye(n))) <= 1e-14 * max(n, 10)
+        t = qd[i].conj().T @ h @ qd[i]
+        tridiagonal = np.diag(diag[i]) + np.diag(off[i], 1) + np.diag(off[i], -1)
+        assert np.max(np.abs(t - tridiagonal)) <= 1e-14 * max(n, 10) * scale
+        d_one, off_one, qd_one = _tridiagonalize(h[None])
+        assert np.array_equal(d_one[0], diag[i]) and np.array_equal(off_one[0], off[i])
+        assert np.array_equal(qd_one[0], qd[i])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_an_empty_stack_gives_empty_results(n):
+    w, v = brute_diagonalize(np.zeros((0, n, n)))
+    assert w.shape == (0, n) and v.shape == (0, n, n)
 
 
 def test_block_diagonal_input_keeps_each_eigenvector_on_its_block():
@@ -132,7 +170,7 @@ def test_oracle_calls_nothing_in_numpy_linalg(monkeypatch):
 # --- divide and conquer ------------------------------------------------------
 
 # a bound on the steps of any merge's secular equation on the confrontation
-# models: they take at most 7, 7 and 9 at dims 61, 101 and 201, and the margin
+# models: they take at most 4, 4 and 4 at dims 61, 101 and 201, and the margin
 # covers the last steps, which rounding noise decides
 SECULAR_STEPS_BOUND = 10
 
@@ -266,6 +304,21 @@ def test_secular_steps_per_merge_stay_bounded_on_the_confrontation_models(
         _assert_tight(h, w, v, tol=1e-14)
         np.testing.assert_allclose(w, np.sort(energy_values(params, HalfInt(twice_j))),
                                    rtol=0, atol=1e-14 * np.max(np.abs(h)))
+
+
+def test_secular_steps_per_merge_count(monkeypatch):
+    # a count, not a timing: every merge must solve all its roots within the cap.  R.-C.
+    # Li's middle way alone, stopped at a step below 4 ulps or a bracket below 16, needed
+    # a cap of 13 on verify's seed-0 stack and of 7, 7 and 8 on the seed 1-5
+    # confrontation models at dims 61, 101 and 201; Gragg's step with the residual and
+    # cubic stops needs 7 and 4, 4, 4
+    monkeypatch.setattr(spectrum, "_SECULAR_MAX_STEPS", 7)
+    brute_diagonalize(_verify_shaped_stack("draws")[0])
+    monkeypatch.setattr(spectrum, "_SECULAR_MAX_STEPS", 4)
+    for order, twice_j in [(4, 60), (3, 100), (3, 200)]:
+        for seed in range(1, 6):
+            params = _confrontation_model(order, twice_j, seed)
+            brute_diagonalize(model_hamiltonian(params, HalfInt(twice_j)))
 
 
 def _three_copies():
