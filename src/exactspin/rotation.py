@@ -9,15 +9,17 @@ eigensystem and no matrix exponential.  Row k is the eigenvector of the
 real symmetric tridiagonal cos(theta)*Jz + sin(theta)*Jx (= U† Jz U) for
 its exactly known eigenvalue m_k, found in O(dim) by a twisted
 factorization; its sign comes from a closed form for the row's last
-entry.  The rows come out unit norm and orthogonal to ~4e-14 at dimension
-2001, a block of rows at a time, so a caller that needs each row once (spectrum's
-certificates) never holds all of d.  U = diag(e^{i*phi*m}) @ little_d is applied
-to a vector through d.
+entry.  Row k's backward pivots are row 2j-k's forward pivots, negated and
+reversed, pivmin clamps included.  The rows come out unit norm and
+orthogonal to ~4e-14 at dimension 2001, a block of rows at a time, so a
+caller that needs each row once (spectrum's certificates) never holds all
+of d.  U = diag(e^{i*phi*m}) @ little_d is applied to a vector through d.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +61,8 @@ class RotationAngles:
             val = float(getattr(self, name))
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite, got {val}")
-            object.__setattr__(self, name, val % TWO_PI)
+            val %= TWO_PI  # rounds up to TWO_PI for tiny negative val: 0.0 is nearest
+            object.__setattr__(self, name, 0.0 if val == TWO_PI else val)
 
 
 def _t_bands(j: HalfInt, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -83,41 +86,24 @@ def _pivots(diag: list, off2: list, pivmin: float) -> list:
     return out
 
 
-def _pivot_pass(cm: np.ndarray, mk: np.ndarray, off2: np.ndarray, pivmin: float):
-    """Forward pivots of T - mk[c]*I for every column c, and where the mirrored ones differ.
+def _pivot_pass(cm: np.ndarray, mk: np.ndarray, off2: np.ndarray, pivmin: float) -> np.ndarray:
+    """Forward pivots of T - mk[c]*I for every column c: piv[:, c], step s in row s.
 
-    Returns (piv, apart), piv of shape (dim, n): piv[:, c] are column c's forward pivots,
-    step s in row s.  m and the ladder coefficients are exactly symmetric about the
-    middle, so the backward pivots of the mirror row (m = -mk[c]) are these negated and
-    reversed: negation commutes with every rounded step.  The pivmin clamp does not, as
-    it gives -pivmin on both sides.  So from a clamp in column c on, the mirror's negated
-    backward pivots g = d - b^2 / g_prev (+pivmin where they clamp) run beside the pass
-    until they equal column c's again, bit for bit; apart[c] lists (step, g) where they
-    differ.  Such a stretch ends within a few steps once b^2 / g falls below an ulp of
-    d, so the pass holds 8 x dim x n bytes and little more, even where every column
-    clamps (theta below ~1e-154)."""
-    n = len(mk)
+    Each step is one array operation across the columns, a pivot below pivmin clamped
+    to -pivmin.  One or two columns run on Python floats (_pivots), with the same IEEE
+    operations and so the same bits: there the per-step numpy calls would cost ~5x the
+    arithmetic (8 ms against 1.5 ms at dim 2001, where ground and dicke: need one row)."""
+    if len(mk) <= 2:
+        b2 = off2.tolist()
+        return np.array([_pivots((cm - m).tolist(), b2, pivmin) for m in mk.tolist()]).T
     piv = np.subtract.outer(cm, mk)
-    prev = np.ones(n)
-    cols, g = np.empty(0, int), np.empty(0)  # columns whose mirror differs, and its pivots
-    apart = {}
-    for t, (row, b2) in enumerate(zip(piv, [0.0, *off2.tolist()])):
+    prev = np.ones(len(mk))
+    for row, b2 in zip(piv, [0.0, *off2.tolist()]):
         row -= b2 / prev
-        prev = row
-        if cols.size:
-            g = (cm[t] - mk[cols]) - b2 / g
-            g[np.abs(g) < pivmin] = pivmin
         if np.minimum.reduce(np.abs(row)) < pivmin:
-            hits = np.flatnonzero(np.abs(row) < pivmin)
-            row[hits] = -pivmin
-            fresh = np.array(sorted(set(hits.tolist()).difference(cols.tolist())), int)
-            cols, g = np.concatenate((cols, fresh)), np.concatenate((g, np.full(fresh.size, pivmin)))
-        if cols.size:
-            differs = g != row[cols]
-            cols, g = cols[differs], g[differs]
-            for c, v in zip(cols.tolist(), g.tolist()):
-                apart.setdefault(c, []).append((t, v))
-    return piv, apart
+            row[np.abs(row) < pivmin] = -pivmin
+        prev = row
+    return piv
 
 
 def _d_blocks(j: HalfInt, theta: float, ks: np.ndarray | None = None,
@@ -134,17 +120,17 @@ def _d_blocks(j: HalfInt, theta: float, ks: np.ndarray | None = None,
     twist r = argmin |gamma_r|, v_r = 1 and v propagated outwards through the pivot
     ratios (_finish_rows).
 
-    Row k's backward pivots are row 2j-k's forward pivots, negated and reversed, except
-    for the short stretches after a pivmin clamp that _pivot_pass keeps apart.  So one
-    forward pass over the rows ks and 2j - ks gives both, each step one array operation
-    across rows: for all of d that is 8 x dim^2 bytes of pivots, the one array held
-    while the rows are finished block by block, each block's two pivot sets gathered
-    from it.  The negated pivots enter the finishing formulas as they are (f + g is
-    f - (-g), and -b / g is b / (-g), bitwise).  A single row runs both recurrences on
-    Python floats instead, because for one row the per-step numpy calls cost ~5x the
-    arithmetic (8 ms against 1.5 ms at dim 2001, where ground and dicke: need one row
-    each).  Both give the same bits, and a row's bits depend neither on its block nor
-    on the other rows asked for.
+    Row k's backward pivots are, by definition here, row 2j-k's forward pivots negated
+    and reversed: m and the ladder coefficients are exactly symmetric about the middle,
+    and negation commutes with every rounded step.  It does not commute with the pivmin
+    clamp: a backward stretch past a clamp starts from +pivmin where LAPACK's dlar1v,
+    run backward, takes -pivmin.  The two differ for the few steps until b^2 / pivot
+    falls below an ulp, in entries below the clamp scale only.  So one forward pass over
+    the rows ks and 2j - ks gives both: for all of d that is 8 x dim^2 bytes of pivots,
+    the one array held while the rows are finished block by block, each block's two
+    pivot sets gathered from it.  The negated pivots enter the finishing formulas as
+    they are (f + g is f - (-g), and -b / g is b / (-g), bitwise).  A row's bits depend
+    neither on its block nor on the other rows asked for.
 
     The sign matches exp(i*theta*Jy): the last entry must have the sign of
     d[k, -1] = sqrt(C(2j, k)) cos(theta/2)^k (-sin(theta/2))^(2j-k).  The sign of
@@ -165,29 +151,19 @@ def _d_blocks(j: HalfInt, theta: float, ks: np.ndarray | None = None,
         return
     mk = ks - j.twice / 2.0
     off2 = off * off
-    # a zero pivot becomes -pivmin (as in LAPACK's dlar1v), so every b^2/pivot stays finite
+    # a forward pivot below pivmin becomes -pivmin (as in dlar1v), so every b^2/pivot
+    # stays finite; mirrored, it is a backward +pivmin (~1e-306, the clamp scale)
     pivmin = np.finfo(float).tiny * max([1.0, *off2.tolist()])
-    if n == 1:
-        diag = (cm - mk[0]).tolist()
-        fwd = np.array(_pivots(diag, off2.tolist(), pivmin))
-        back = np.array(_pivots(diag[::-1], off2[::-1].tolist(), pivmin))
-        # the backward pivots in step order, negated as the pass's mirrored columns are
-        piv, fcols, gcols = np.stack((fwd, -back), axis=1), np.array([0]), np.array([1])
-        apart = {}
-    else:
-        chosen = np.zeros(dim, bool)
-        chosen[ks] = True
-        pass_ks = np.flatnonzero(chosen | chosen[::-1])  # ks and 2j - ks, sorted
-        piv, apart = _pivot_pass(cm, pass_ks - j.twice / 2.0, off2, pivmin)
-        fcols = np.searchsorted(pass_ks, ks)
-        gcols = len(pass_ks) - 1 - fcols  # pass_ks is symmetric about j
+    chosen = np.zeros(dim, bool)
+    chosen[ks] = True
+    pass_ks = np.flatnonzero(chosen | chosen[::-1])  # ks and 2j - ks, sorted
+    piv = _pivot_pass(cm, pass_ks - j.twice / 2.0, off2, pivmin)
+    fcols = np.searchsorted(pass_ks, ks)
+    gcols = len(pass_ks) - 1 - fcols  # pass_ks is symmetric about j
     want = (math.copysign(1.0, -math.sin(theta / 2.0)) ** (j.twice - ks)
             * math.copysign(1.0, math.cos(theta / 2.0)) ** ks)
     for block in _row_blocks(n, dim):
         f, neg = piv[:, fcols[block]], piv[::-1, gcols[block]]
-        for i, c in enumerate(gcols[block].tolist()):  # where a mirror left its column
-            for t, v in apart.get(c, ()):
-                neg[dim - 1 - t, i] = v
         rows = np.empty((f.shape[1], dim)) if out is None else out[block]
         _finish_rows(f, neg, cm[:, None] - mk[block], off, want[block], rows)
         yield block, rows
@@ -231,9 +207,13 @@ def little_d_row(j, theta: float, k: int) -> np.ndarray:
     """Row k of little_d(j, theta), in O(dim)."""
     j = _check_j(j)
     dim = j.twice + 1
-    if not 0 <= k < dim:
+    try:
+        index = operator.index(k)  # a row 1.5 would ask for m = -0.5, no eigenvalue of T
+    except TypeError:
+        raise ValueError(f"row index {k!r} is not an integer") from None
+    if not 0 <= index < dim:
         raise ValueError(f"row index {k} outside 0..{dim - 1}")
-    return _d_rows(j, float(theta), np.array([k]))[0]
+    return _d_rows(j, float(theta), np.array([index]))[0]
 
 
 def rotation_matrix(j, angles: RotationAngles) -> np.ndarray:

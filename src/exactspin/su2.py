@@ -46,8 +46,8 @@ class HalfInt:
         """Build from a number that is exactly a multiple of 1/2."""
         if isinstance(value, HalfInt):
             return value
-        doubled = 2 * value
-        if doubled != int(doubled):
+        doubled = 2 * value  # inf and nan are refused before int() sees them
+        if doubled in (math.inf, -math.inf) or doubled != doubled or doubled != int(doubled):
             raise ValueError(f"{value!r} is not an integer or half-integer")
         return cls(int(doubled))
 

@@ -22,7 +22,7 @@ from exactspin import (
     rotation_matrix,
 )
 from exactspin.cli import main
-from exactspin.rotation import _d_rows, _t_bands
+from exactspin.rotation import _d_rows, _finish_rows, _pivots, _t_bands
 from exactspin.su2 import _ladder_coeffs_ascending, m_floats
 from exactspin.verify import series_expm
 
@@ -45,6 +45,14 @@ def test_angles_canonicalized():
     assert ang.phi == pytest.approx(2 * math.pi - 0.5, abs=1e-12)
     with pytest.raises(ValueError):
         RotationAngles(float("nan"), 0.0)
+
+
+@pytest.mark.parametrize("angle", [-1e-300, -5e-324])
+def test_tiny_negative_angles_fold_to_zero(angle):
+    # angle % 2pi rounds up to 2pi there, outside [0, 2pi); 0.0 is the nearest point
+    assert RotationAngles(angle).theta == 0.0
+    assert RotationAngles(0.3, angle).phi == 0.0
+    assert np.array_equal(little_d(HalfInt(1), RotationAngles(angle).theta), np.eye(2))
 
 
 def test_little_d_identity_at_zero():
@@ -256,6 +264,15 @@ def test_banded_little_d_row_rejects_bad_index():
             little_d_row(HalfInt(5), 0.7, k)
 
 
+def test_little_d_row_refuses_a_non_integer_index():
+    # m = -0.5 is no eigenvalue of T, so a row 1.5 would be all nan
+    for k in (1.5, np.float64(3.0), "2", None):
+        with pytest.raises(ValueError):
+            little_d_row(HalfInt(4), 1.0, k)
+    d = little_d(HalfInt(4), 1.0)
+    assert np.array_equal(little_d_row(HalfInt(4), 1.0, np.int64(3)), d[3])
+
+
 def wigner_d_entry(twice_j, k, c, theta):
     """little_d(j, theta)[k, c] by Wigner's explicit sum in mpmath; shares no code with rotation.
 
@@ -457,3 +474,46 @@ def test_little_d_holds_16_dim2_and_spectrum_8_dim2(tmp_path, command, theta):
         assert peak <= 16 * dim**2 + blocks
     else:
         assert peak <= 8 * dim**2 + blocks + out.stat().st_size
+
+
+def _dlar1v_rows(j, theta):
+    """little_d(j, theta) with each row's backward pivots run directly, as LAPACK's dlar1v
+    does: -pivmin on both sides of a clamp, where little_d mirrors the forward pivots."""
+    cm, off = _t_bands(j, theta)
+    off2 = (off * off).tolist()
+    pivmin = np.finfo(float).tiny * max([1.0, *off2])
+    dim = j.twice + 1
+    rows = np.empty((dim, dim))
+    for k in range(dim):
+        diag = (cm - (k - j.twice / 2.0)).tolist()
+        f = np.array(_pivots(diag, off2, pivmin))
+        back = np.array(_pivots(diag[::-1], off2[::-1], pivmin))
+        want = (math.copysign(1.0, -math.sin(theta / 2.0)) ** (j.twice - k)
+                * math.copysign(1.0, math.cos(theta / 2.0)) ** k)
+        _finish_rows(f[:, None], -back[::-1, None], np.array(diag)[:, None], off,
+                     np.array([want]), rows[k:k + 1])
+    return rows
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 3 * math.pi / 2, math.pi / 3,
+                                   2 * math.pi / 3, 1e-300])
+def test_rows_past_a_clamp_lie_within_1e300_of_the_dlar1v_convention(theta):
+    # past a clamp the mirrored backward pivots start from +pivmin, dlar1v's from -pivmin;
+    # that moves only entries below the clamp scale.  A request of one or two pass
+    # columns (k and 2j-k, or the middle row) runs on Python floats, bit for bit
+    fired = 0
+    for twice_j in range(1, 61):
+        j = HalfInt(twice_j)
+        if not _clamped_rows(j, theta):
+            continue
+        fired += 1
+        d = little_d(j, theta)
+        np.testing.assert_allclose(d, _dlar1v_rows(j, theta), rtol=0, atol=1e-300)
+        assert np.max(np.abs(d @ d.T - np.eye(twice_j + 1))) <= 1e-13
+        for k in range(twice_j // 2 + 1):
+            pair = [k, twice_j - k]
+            assert np.array_equal(_d_rows(j, theta, np.array(pair)), d[pair]), (twice_j, k)
+        if twice_j % 2 == 0:
+            mid = twice_j // 2
+            assert np.array_equal(_d_rows(j, theta, np.array([mid])), d[[mid]]), twice_j
+    assert fired >= 6

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from exactspin import (
     HalfInt,
+    as_halfint,
     commutator,
     dicke_index,
     is_hermitian,
     is_unitary,
     ladder_coeff,
+    little_d,
     m_values,
     operator_matrix,
     validate_jm,
@@ -31,6 +33,16 @@ def test_halfint_basics():
     assert (HalfInt(1) + HalfInt(1)).twice == 2
     with pytest.raises(ValueError):
         HalfInt.from_value(0.3)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_halfint_refuses_non_finite_values(value):
+    # int(inf) raises OverflowError and int(nan) a ValueError of its own; both must be
+    # the ValueError that names the value
+    with pytest.raises(ValueError, match="not an integer or half-integer"):
+        as_halfint(value)
+    with pytest.raises(ValueError, match="not an integer or half-integer"):
+        little_d(value, 1.0)
 
 
 def test_m_values_dimension_and_order():
