@@ -52,9 +52,8 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it, imported on the first lookup
 _LAZY = {name: module for module, names in {
     "spectrum": ("brute_diagonalize",),
-    "two_mode": ("FockSector", "PaperH2", "RotatedJzExpansion", "TwoModeCoefficients",
-                 "expand_rotated_jz", "fock_hamiltonian", "paper_literal_h2", "rate_relation",
-                 "two_mode_coefficients"),
+    "two_mode": ("FockSector", "PaperH2", "TwoModeCoefficients", "fock_hamiltonian",
+                 "paper_literal_h2", "rate_relation", "two_mode_coefficients"),
     "dynamics": ("EigenbasisState", "TimeSeries", "envelope_metric", "evolve_observable",
                  "evolve_series", "paper_jz_series", "revival_time", "rotated_observable",
                  "state_at", "to_eigenbasis"),

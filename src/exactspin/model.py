@@ -21,7 +21,6 @@ from .su2 import _check_j, m_floats
 
 __all__ = [
     "ModelParams",
-    "diagonal_hamiltonian",
     "model_hamiltonian",
     "apply_hamiltonian",
     "energy_values",
@@ -65,11 +64,6 @@ def energy_values(params: ModelParams, j) -> np.ndarray:
     for a in reversed(params.coeffs):
         e = e * m + a
     return e
-
-
-def diagonal_hamiltonian(params: ModelParams, j) -> np.ndarray:
-    """The pre-rotation Hamiltonian: diag(E_m), ascending m."""
-    return np.diag(energy_values(params, j)).astype(complex)
 
 
 def model_hamiltonian(params: ModelParams, j) -> np.ndarray:

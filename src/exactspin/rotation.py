@@ -32,7 +32,6 @@ __all__ = [
     "little_d_row",
     "rotation_matrix",
     "rotated_basis_state",
-    "rotate_operator",
     "apply_rotation",
 ]
 
@@ -249,12 +248,3 @@ def rotated_basis_state(j, angles: RotationAngles, m) -> np.ndarray:
     m = as_halfint(m)
     # column m of U† = e^{-i phi m} * (row k of d), d real
     return little_d_row(j, angles.theta, k) * np.exp(-1j * angles.phi * m.value)
-
-
-def rotate_operator(u: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Conjugate an operator: U† O U."""
-    u = np.asarray(u)
-    op = np.asarray(op)
-    if u.shape != op.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {op.shape}")
-    return u.conj().T @ op @ u

@@ -25,8 +25,6 @@ separately, by their residuals ||Hv - Ev||.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .su2 import is_hermitian
@@ -164,7 +162,6 @@ def _tree(n: int) -> list[list[tuple[int, int]]]:
     return levels
 
 
-@functools.cache
 def _merge_plan(n: int) -> tuple[tuple, ...]:
     """Each depth of _tree(n) that has a node to merge, from the bottom up.
 

@@ -9,6 +9,7 @@ package is ascending m: row/column index k = 0 .. 2j maps to m = -j + k.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,15 +17,12 @@ import numpy as np
 __all__ = [
     "HalfInt",
     "as_halfint",
-    "m_values",
     "m_floats",
     "dicke_index",
     "validate_jm",
-    "ladder_coeff",
     "operator_matrix",
     "commutator",
     "is_hermitian",
-    "is_unitary",
 ]
 
 OPERATOR_KINDS = ("Jz", "Jplus", "Jminus", "Jx", "Jy")
@@ -46,6 +44,8 @@ class HalfInt:
         """Build from a number that is exactly a multiple of 1/2."""
         if isinstance(value, HalfInt):
             return value
+        if not isinstance(value, numbers.Number):  # 2 * "aa" would be "aaaa"
+            raise ValueError(f"{value!r} is not an integer or half-integer")
         doubled = 2 * value  # inf and nan are refused before int() sees them
         if doubled in (math.inf, -math.inf) or doubled != doubled or doubled != int(doubled):
             raise ValueError(f"{value!r} is not an integer or half-integer")
@@ -104,12 +104,6 @@ def validate_jm(j, m) -> tuple[HalfInt, HalfInt]:
     return j, m
 
 
-def m_values(j) -> list[HalfInt]:
-    """All magnetic quantum numbers of spin j, ascending."""
-    j = _check_j(j)
-    return [HalfInt(t) for t in range(-j.twice, j.twice + 1, 2)]
-
-
 def m_floats(j) -> np.ndarray:
     """The ascending m grid of spin j as a float array."""
     j = _check_j(j)
@@ -120,25 +114,6 @@ def dicke_index(j, m) -> int:
     """Basis index k of |j,m> under the ascending-m convention."""
     j, m = validate_jm(j, m)
     return (m.twice + j.twice) // 2
-
-
-def ladder_coeff(j, m, direction: str) -> float:
-    """Matrix element sqrt(j(j+1) - m(m+-1)) of J+- acting on |j,m>.
-
-    Returns 0.0 when the target m+-1 falls outside [-j, j].
-    """
-    j, m = validate_jm(j, m)
-    if direction == "raise":
-        target = m.twice + 2
-    elif direction == "lower":
-        target = m.twice - 2
-    else:
-        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    if abs(target) > j.twice:
-        return 0.0
-    # exact integer arithmetic inside the sqrt: 4*(j(j+1) - m*m') = twice_j*(twice_j+2) - twice_m*twice_m'
-    inside = j.twice * (j.twice + 2) - m.twice * target
-    return math.sqrt(inside) / 2.0
 
 
 def _ladder_coeffs_ascending(j: HalfInt) -> np.ndarray:
@@ -182,10 +157,3 @@ def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
     scale = np.max(np.abs(mat), axis=(-2, -1), initial=0.0)
     asym = np.max(np.abs(mat - mat.conj().swapaxes(-2, -1)), axis=(-2, -1), initial=0.0)
     return bool(np.all(asym <= tol * scale))
-
-
-def is_unitary(mat: np.ndarray, tol: float = 1e-10) -> bool:
-    """True if M†M = I within tol per entry."""
-    mat = np.asarray(mat)
-    eye = np.eye(mat.shape[0])
-    return bool(np.max(np.abs(mat.conj().T @ mat - eye)) <= tol)

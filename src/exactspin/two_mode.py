@@ -19,12 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ModelParams, model_hamiltonian
-from .rotation import RotationAngles, rotate_operator, rotation_matrix
 from .su2 import HalfInt, _check_j, operator_matrix
 
 __all__ = [
-    "RotatedJzExpansion",
-    "expand_rotated_jz",
     "PaperH2",
     "paper_literal_h2",
     "TwoModeCoefficients",
@@ -35,35 +32,6 @@ __all__ = [
 ]
 
 FOCK_CONVENTIONS = ("standard", "paper_literal")
-
-
-@dataclass(frozen=True)
-class RotatedJzExpansion:
-    """Decomposition of U† Jz U over {Jz, J+, J-} with the fit residual."""
-
-    coeff_jz: complex
-    coeff_plus: complex
-    coeff_minus: complex
-    residual: float
-
-
-def expand_rotated_jz(j, angles: RotationAngles) -> RotatedJzExpansion:
-    """Least-squares decomposition of U† Jz U onto span{Jz, J+, J-}.
-
-    The rotated Jz lies exactly in this span, so the reported residual
-    should be at numerical zero.
-    """
-    j = _check_j(j)
-    if j.twice < 1:
-        raise ValueError("need j >= 1/2 to expand")
-    u = rotation_matrix(j, angles)
-    rotated = rotate_operator(u, operator_matrix(j, "Jz"))
-    basis = [operator_matrix(j, k) for k in ("Jz", "Jplus", "Jminus")]
-    # The three basis operators are mutually orthogonal under <A,B> = tr(A†B)
-    coeffs = [np.vdot(b, rotated) / np.vdot(b, b) for b in basis]
-    recon = sum(c * b for c, b in zip(coeffs, basis))
-    residual = float(np.linalg.norm(rotated - recon))
-    return RotatedJzExpansion(coeffs[0], coeffs[1], coeffs[2], residual)
 
 
 class PaperH2(NamedTuple):

@@ -12,18 +12,16 @@ import exactspin
 # every public name the package exported when it imported all its modules eagerly,
 # by the module that defines it
 PUBLIC = {
-    "su2": ("HalfInt", "as_halfint", "commutator", "dicke_index", "is_hermitian", "is_unitary",
-            "ladder_coeff", "m_floats", "m_values", "operator_matrix", "validate_jm"),
+    "su2": ("HalfInt", "as_halfint", "commutator", "dicke_index", "is_hermitian", "m_floats",
+            "operator_matrix", "validate_jm"),
     "rotation": ("RotationAngles", "apply_rotation", "little_d", "little_d_row",
-                 "rotated_basis_state", "rotate_operator", "rotation_matrix"),
-    "model": ("ModelParams", "apply_hamiltonian", "diagonal_hamiltonian", "energy_values",
-              "model_hamiltonian"),
+                 "rotated_basis_state", "rotation_matrix"),
+    "model": ("ModelParams", "apply_hamiltonian", "energy_values", "model_hamiltonian"),
     "closed_form": ("EigenPair", "GroundStateResult", "exact_spectrum", "ground_state",
                     "residual_norm"),
     "spectrum": ("brute_diagonalize",),
-    "two_mode": ("FockSector", "PaperH2", "RotatedJzExpansion", "TwoModeCoefficients",
-                 "expand_rotated_jz", "fock_hamiltonian", "paper_literal_h2", "rate_relation",
-                 "two_mode_coefficients"),
+    "two_mode": ("FockSector", "PaperH2", "TwoModeCoefficients", "fock_hamiltonian",
+                 "paper_literal_h2", "rate_relation", "two_mode_coefficients"),
     "dynamics": ("EigenbasisState", "TimeSeries", "envelope_metric", "evolve_observable",
                  "evolve_series", "paper_jz_series", "revival_time", "rotated_observable",
                  "state_at", "to_eigenbasis"),

@@ -18,9 +18,7 @@ from exactspin import (
     RotationAngles,
     apply_hamiltonian,
     brute_diagonalize,
-    diagonal_hamiltonian,
     energy_values,
-    expand_rotated_jz,
     fock_hamiltonian,
     m_floats,
     model_hamiltonian,
@@ -42,16 +40,7 @@ def test_params_validation():
         ModelParams(order=1, coeffs=(0.0, float("inf")), angles=RotationAngles(0.1))
 
 
-def test_diagonal_hamiltonian_examples():
-    p = ModelParams(order=1, coeffs=(0.0, 1.0), angles=RotationAngles(0.0))
-    np.testing.assert_allclose(np.diag(diagonal_hamiltonian(p, HalfInt(1))).real,
-                               [-0.5, 0.5], atol=1e-15)
-    p2 = ModelParams.quadratic(1.0, 0.01, theta=0.0)
-    h = diagonal_hamiltonian(p2, HalfInt(2))
-    assert h[0, 0].real == pytest.approx(-0.99, abs=1e-15)  # m = -1
-
-
-def test_diagonal_hamiltonian_extended_precision_oracle():
+def test_energy_values_extended_precision_oracle():
     # cubic at j=5/2 vs exact rational Horner evaluation
     p = ModelParams(order=3, coeffs=(0.5, 1.0, 2.0, 3.0), angles=RotationAngles(0.7))
     vals = energy_values(p, HalfInt(5))
@@ -66,7 +55,7 @@ def test_diagonal_hamiltonian_extended_precision_oracle():
 def test_model_hamiltonian_reduces_to_diagonal():
     p = ModelParams.quadratic(1.0, 0.01, theta=0.0, phi=0.0)
     j = HalfInt(7)
-    assert np.array_equal(model_hamiltonian(p, j), diagonal_hamiltonian(p, j))
+    assert np.array_equal(model_hamiltonian(p, j), np.diag(energy_values(p, j)).astype(complex))
 
 
 def test_model_hamiltonian_spectrum_matches_closed_form():
@@ -142,23 +131,6 @@ def test_apply_hamiltonian_large_j_residual():
     resid = np.linalg.norm(apply_hamiltonian(p, j, vec) - energy * vec)
     scale = float(np.max(np.abs(energy_values(p, j))))
     assert resid < 1e-8 * scale
-
-
-def test_expand_rotated_jz():
-    j = HalfInt(6)
-    ex0 = expand_rotated_jz(j, RotationAngles(0.0, 0.0))
-    assert ex0.coeff_jz == pytest.approx(1.0, abs=1e-12)
-    assert abs(ex0.coeff_plus) < 1e-12 and abs(ex0.coeff_minus) < 1e-12
-
-    ex90 = expand_rotated_jz(j, RotationAngles(math.pi / 2, 0.0))
-    assert abs(ex90.coeff_jz) < 1e-12
-    assert abs(ex90.coeff_plus) == pytest.approx(0.5, abs=1e-12)
-    assert abs(ex90.coeff_minus) == pytest.approx(0.5, abs=1e-12)
-
-    ex = expand_rotated_jz(j, RotationAngles(0.7, 1.3))
-    assert ex.residual < 1e-10
-    assert ex.coeff_jz.real == pytest.approx(math.cos(0.7), abs=1e-12)
-    assert ex.coeff_plus.real == pytest.approx(math.sin(0.7) / 2, abs=1e-12)
 
 
 def test_paper_literal_h2_vanishes_at_theta_zero():

@@ -17,7 +17,6 @@ from exactspin import (
     little_d,
     little_d_row,
     operator_matrix,
-    rotate_operator,
     rotated_basis_state,
     rotation_matrix,
 )
@@ -179,22 +178,11 @@ def test_apply_rotation_matches_dense():
                                u.conj().T @ v, atol=1e-12)
 
 
-def test_rotate_operator_identity_cases():
-    j = HalfInt(2)
-    op = operator_matrix(j, "Jx")
-    eye = np.eye(3, dtype=complex)
-    np.testing.assert_allclose(rotate_operator(eye, op), op, atol=0.0)
-    u = rotation_matrix(j, RotationAngles(0.5, 0.3))
-    np.testing.assert_allclose(rotate_operator(u, eye), eye, atol=1e-12)
-    with pytest.raises(ValueError):
-        rotate_operator(u, np.eye(5))
-
-
 def test_rotate_operator_preserves_spectrum():
     # rotated Jz at j=1 stays Hermitian with eigenvalues {-1, 0, 1}
     j = HalfInt(2)
     u = rotation_matrix(j, RotationAngles(0.3, 0.0))
-    rotated = rotate_operator(u, operator_matrix(j, "Jz"))
+    rotated = u.conj().T @ operator_matrix(j, "Jz") @ u
     assert np.max(np.abs(rotated - rotated.conj().T)) < 1e-12
     w, _ = brute_diagonalize(rotated)
     np.testing.assert_allclose(w, [-1.0, 0.0, 1.0], atol=1e-10)
@@ -206,7 +194,7 @@ def test_rotation_spectrum_invariance(twice_j):
     u = rotation_matrix(j, RotationAngles(1.9, 0.6))
     op = operator_matrix(j, "Jx") + 0.3 * operator_matrix(j, "Jz")
     w_before, _ = brute_diagonalize(op)
-    w_after, _ = brute_diagonalize(rotate_operator(u, op))
+    w_after, _ = brute_diagonalize(u.conj().T @ op @ u)
     np.testing.assert_allclose(w_before, w_after, atol=1e-9)
 
 

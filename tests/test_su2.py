@@ -1,12 +1,12 @@
 """Tests for the angular momentum operator layer."""
 
 import math
+import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from exactspin import (
     HalfInt,
@@ -14,13 +14,12 @@ from exactspin import (
     commutator,
     dicke_index,
     is_hermitian,
-    is_unitary,
-    ladder_coeff,
     little_d,
-    m_values,
+    m_floats,
     operator_matrix,
     validate_jm,
 )
+from exactspin.su2 import _ladder_coeffs_ascending
 
 
 def test_halfint_basics():
@@ -45,10 +44,22 @@ def test_halfint_refuses_non_finite_values(value):
         little_d(value, 1.0)
 
 
+@pytest.mark.parametrize("value", ["aa", b"ab", [1], None])
+def test_halfint_refuses_a_non_number_naming_it_as_passed(value):
+    # 2 * "aa" is "aaaa": the type is checked before the value is doubled
+    with pytest.raises(ValueError, match=re.escape(f"{value!r} is not an integer or half-integer")):
+        as_halfint(value)
+
+
+@pytest.mark.parametrize("value", [3, 1.5, np.int64(3), np.float64(1.5), np.float32(1.5),
+                                   Fraction(3, 2)])
+def test_halfint_takes_every_kind_of_number(value):
+    assert as_halfint(value) == HalfInt(int(2 * value))
+
+
 def test_m_values_dimension_and_order():
-    ms = m_values(HalfInt(5))  # j = 5/2
-    assert len(ms) == 6
-    assert [m.twice for m in ms] == [-5, -3, -1, 1, 3, 5]
+    ms = m_floats(HalfInt(5))  # j = 5/2
+    assert ms.tolist() == [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]
     assert dicke_index(HalfInt(5), HalfInt(-5)) == 0
     assert dicke_index(HalfInt(5), HalfInt(5)) == 5
 
@@ -64,37 +75,18 @@ def test_validate_jm_rejects_bad_pairs():
 
 def test_ladder_coeff_examples():
     # Pauli algebra: raising from the bottom of j=1/2
-    assert ladder_coeff(HalfInt(1), HalfInt(-1), "raise") == pytest.approx(1.0, abs=1e-15)
-    # standard spin-1 element
-    assert ladder_coeff(HalfInt(2), HalfInt(0), "raise") == pytest.approx(math.sqrt(2), abs=1e-15)
-    # edge of the range gives zero
-    assert ladder_coeff(HalfInt(2), HalfInt(2), "raise") == 0.0
-    assert ladder_coeff(HalfInt(2), HalfInt(-2), "lower") == 0.0
-    with pytest.raises(ValueError):
-        ladder_coeff(HalfInt(2), HalfInt(1), "raise")
-    with pytest.raises(ValueError):
-        ladder_coeff(HalfInt(2), HalfInt(0), "sideways")
+    assert _ladder_coeffs_ascending(HalfInt(1)).tolist() == pytest.approx([1.0], abs=1e-15)
+    # standard spin-1 elements, m=-1 -> 0 and m=0 -> 1
+    assert _ladder_coeffs_ascending(HalfInt(2)).tolist() == pytest.approx([math.sqrt(2)] * 2,
+                                                                          abs=1e-15)
 
 
 def test_ladder_coeff_large_j_extended_precision():
     # j=1000, m=999, raise -> sqrt(2000); compare against 50-digit arithmetic
-    got = ladder_coeff(HalfInt(2000), HalfInt(1998), "raise")
+    got = _ladder_coeffs_ascending(HalfInt(2000))[1999]
     with mpmath.workdps(50):
         want = mpmath.sqrt(mpmath.mpf(1000) * 1001 - mpmath.mpf(999) * 1000)
         assert abs(got - float(want)) <= 1e-12 * float(want)
-
-
-@given(twice_j=st.integers(min_value=1, max_value=40),
-       steps=st.integers(min_value=0, max_value=39))
-@settings(max_examples=60, deadline=None)
-def test_ladder_coeff_raise_lower_symmetry(twice_j, steps):
-    # <m+1|J+|m> = <m|J-|m+1>
-    if steps >= twice_j:
-        return
-    twice_m = -twice_j + 2 * steps
-    up = ladder_coeff(HalfInt(twice_j), HalfInt(twice_m), "raise")
-    down = ladder_coeff(HalfInt(twice_j), HalfInt(twice_m + 2), "lower")
-    assert up == pytest.approx(down, abs=1e-13)
 
 
 def test_operator_matrix_jz_diagonal():
@@ -159,8 +151,3 @@ def test_commutator_identity_and_errors():
     np.testing.assert_allclose(commutator(a, a), np.zeros_like(a), atol=0.0)
     with pytest.raises(ValueError):
         commutator(a, np.eye(2))
-
-
-def test_is_unitary():
-    assert is_unitary(np.eye(4))
-    assert not is_unitary(2 * np.eye(4))
